@@ -23,9 +23,8 @@
 // checks).
 //
 // BENCH_simd.json (the vectorized-kernel study: per-kernel speedup of the
-// active vector ISA over the scalar anchor in relaxed and strict modes with
-// ULP/bit-identity flags, plus the lane-batched route_batch throughput with
-// pack occupancy).  The oracle-anchored studies above run under a scalar
+// default relaxed mode on the active ISA over the scalar anchor, with
+// ULP-bound flags).  The oracle-anchored studies above run under a scalar
 // dispatch pin so their exact-identity checks keep comparing seed bits.
 //
 // BENCH_eco.json (the session-engine study: ECO single-sink-move repair
@@ -98,7 +97,6 @@
 #include "sim/transient.h"
 #include "sim/two_pole.h"
 #include "simd/dispatch.h"
-#include "simd/kernels.h"
 #include "tech/technology.h"
 #include "wiresize/combined.h"
 #include "wiresize/grewsa.h"
@@ -926,7 +924,6 @@ constexpr std::uint64_t kSimdMaxUlps = 256;
 struct SimdKernelRow {
     int sinks = 0;
     const char* kernel = "";
-    const char* mode = "";  ///< "relaxed" (ULP gate) or "strict" (bit gate)
     double scalar_s = 0.0;
     double vector_s = 0.0;
     bool ok = false;
@@ -976,97 +973,52 @@ bool write_simd_json(const std::string& path, bool smoke)
             });
         }
 
-        const auto run_mode = [&](bool strict) {
-            ScopedSimdMode pin(SimdMode::auto_detect, strict);
-            const char* mode = strict ? "strict" : "relaxed";
-            const auto gate = [&](double seed, double got) {
-                return strict ? seed == got
-                              : ulps_between(seed, got) <= kSimdMaxUlps;
-            };
-            {
-                SimdKernelRow row{sinks, "elmore", mode, elmore_s, 0.0, true};
-                elmore_all_sinks(ws.flat, tech, ws.caps, ws.sink_delays);
-                row.ok = ws.sink_delays.size() == elmore_seed.size();
-                for (std::size_t i = 0; row.ok && i < elmore_seed.size(); ++i)
-                    row.ok = gate(elmore_seed[i], ws.sink_delays[i]);
-                row.vector_s = time_kernel([&] {
-                    elmore_all_sinks(ws.flat, tech, ws.caps, ws.sink_delays);
-                    benchmark::DoNotOptimize(ws.sink_delays.data());
-                });
-                rows.push_back(row);
-            }
-            {
-                SimdKernelRow row{sinks, "rph", mode, rph_s, 0.0, true};
-                const RphTerms t = rph_terms(ws.flat, tech);
-                row.ok = t.t1 == rph_seed.t1 && t.t3 == rph_seed.t3 &&
-                         gate(rph_seed.t2, t.t2) && gate(rph_seed.t4, t.t4);
-                row.vector_s = time_kernel(
-                    [&] { benchmark::DoNotOptimize(rph_terms(ws.flat, tech)); });
-                rows.push_back(row);
-            }
-            {
-                SimdKernelRow row{sinks, "moments", mode, moments_s, 0.0, true};
-                const auto& m = compute_moments(rc, 3, ws.moments);
-                row.ok = m.size() == moments_seed.size();
-                for (std::size_t q = 0; row.ok && q < m.size(); ++q)
-                    for (std::size_t i = 0; row.ok && i < m[q].size(); ++i)
-                        row.ok = gate(moments_seed[q][i], m[q][i]);
-                row.vector_s = time_kernel([&] {
-                    benchmark::DoNotOptimize(compute_moments(rc, 3, ws.moments));
-                });
-                rows.push_back(row);
-            }
-            for (auto it = rows.end() - 3; it != rows.end(); ++it)
-                std::cout << "simd kernel: " << it->sinks << " sinks  "
-                          << it->kernel << ' ' << it->mode << "  scalar "
-                          << fmt_sci(it->scalar_s, 2) << "s  "
-                          << simd_isa_name(isa) << ' '
-                          << fmt_sci(it->vector_s, 2) << "s  speedup "
-                          << fmt_fixed(it->speedup(), 2) << "x  ok "
-                          << (it->ok ? "yes" : "NO") << '\n';
+        // Default (relaxed) mode: ULP-bounded against the scalar anchor.
+        ScopedSimdMode pin(SimdMode::auto_detect);
+        const auto gate = [](double seed, double got) {
+            return ulps_between(seed, got) <= kSimdMaxUlps;
         };
-        run_mode(false);
-        run_mode(true);
+        {
+            SimdKernelRow row{sinks, "elmore", elmore_s, 0.0, true};
+            elmore_all_sinks(ws.flat, tech, ws.caps, ws.sink_delays);
+            row.ok = ws.sink_delays.size() == elmore_seed.size();
+            for (std::size_t i = 0; row.ok && i < elmore_seed.size(); ++i)
+                row.ok = gate(elmore_seed[i], ws.sink_delays[i]);
+            row.vector_s = time_kernel([&] {
+                elmore_all_sinks(ws.flat, tech, ws.caps, ws.sink_delays);
+                benchmark::DoNotOptimize(ws.sink_delays.data());
+            });
+            rows.push_back(row);
+        }
+        {
+            SimdKernelRow row{sinks, "rph", rph_s, 0.0, true};
+            const RphTerms t = rph_terms(ws.flat, tech);
+            row.ok = t.t1 == rph_seed.t1 && t.t3 == rph_seed.t3 &&
+                     gate(rph_seed.t2, t.t2) && gate(rph_seed.t4, t.t4);
+            row.vector_s = time_kernel(
+                [&] { benchmark::DoNotOptimize(rph_terms(ws.flat, tech)); });
+            rows.push_back(row);
+        }
+        {
+            SimdKernelRow row{sinks, "moments", moments_s, 0.0, true};
+            const auto& m = compute_moments(rc, 3, ws.moments);
+            row.ok = m.size() == moments_seed.size();
+            for (std::size_t q = 0; row.ok && q < m.size(); ++q)
+                for (std::size_t i = 0; row.ok && i < m[q].size(); ++i)
+                    row.ok = gate(moments_seed[q][i], m[q][i]);
+            row.vector_s = time_kernel([&] {
+                benchmark::DoNotOptimize(compute_moments(rc, 3, ws.moments));
+            });
+            rows.push_back(row);
+        }
+        for (auto it = rows.end() - 3; it != rows.end(); ++it)
+            std::cout << "simd kernel: " << it->sinks << " sinks  "
+                      << it->kernel << "  scalar " << fmt_sci(it->scalar_s, 2)
+                      << "s  " << simd_isa_name(isa) << ' '
+                      << fmt_sci(it->vector_s, 2) << "s  speedup "
+                      << fmt_fixed(it->speedup(), 2) << "x  ok "
+                      << (it->ok ? "yes" : "NO") << '\n';
     }
-
-    // --- lane-batched small-net throughput ------------------------------
-    // Serial route_batch over many small nets, scalar anchor vs the relaxed
-    // vectorized mode whose report stage runs lane packs.  Statuses must
-    // match and the delay columns stay ULP-bounded; occupancy tracks how
-    // full the packs ran.
-    const int lb_nets = smoke ? 24 : 256;
-    const int lb_sinks = 6;
-    const auto lb = random_nets(31, lb_nets, kMcmGrid, lb_sinks);
-    PipelineOptions lb_opts;
-    lb_opts.threads = 1;
-    std::vector<NetRouteResult> lb_seed, lb_vec;
-    double lb_scalar_s, lb_vector_s;
-    {
-        ScopedSimdMode pin(SimdMode::scalar);
-        lb_scalar_s =
-            time_best([&] { lb_seed = route_batch(lb, tech, lb_opts); });
-    }
-    PipelineStats lb_stats;
-    std::vector<Workspace> lb_ws;
-    {
-        ScopedSimdMode pin(SimdMode::auto_detect, false);
-        lb_vector_s = time_best(
-            [&] { lb_vec = route_batch(lb, tech, lb_opts, &lb_stats, &lb_ws); });
-    }
-    bool lb_ok = lb_seed.size() == lb_vec.size();
-    for (std::size_t i = 0; lb_ok && i < lb_seed.size(); ++i)
-        lb_ok = lb_seed[i].status == lb_vec[i].status &&
-                ulps_between(lb_seed[i].elmore_max_s, lb_vec[i].elmore_max_s) <=
-                    kSimdMaxUlps &&
-                ulps_between(lb_seed[i].rph_s, lb_vec[i].rph_s) <= kSimdMaxUlps;
-    const double lb_speedup = lb_vector_s > 0.0 ? lb_scalar_s / lb_vector_s : 0.0;
-    std::cout << "simd lane batch: " << lb_nets << " nets  scalar "
-              << fmt_sci(lb_scalar_s, 2) << "s  " << simd_isa_name(isa) << ' '
-              << fmt_sci(lb_vector_s, 2) << "s  speedup "
-              << fmt_fixed(lb_speedup, 2) << "x  packs "
-              << lb_stats.counters.lane_packs << "  occupancy "
-              << fmt_fixed(lb_stats.counters.lane_occupancy(), 2) << "  ok "
-              << (lb_ok ? "yes" : "NO") << '\n';
 
     std::ofstream out(path);
     if (!out) {
@@ -1080,32 +1032,21 @@ bool write_simd_json(const std::string& path, bool smoke)
         << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
         << ",\n"
         << "  \"isa\": \"" << simd_isa_name(isa) << "\",\n"
-        << "  \"lane_width\": " << simdk::lane_width(isa) << ",\n"
         << "  \"kernels\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const SimdKernelRow& r = rows[i];
         out << "    {\"sinks\": " << r.sinks << ", \"kernel\": \"" << r.kernel
-            << "\", \"mode\": \"" << r.mode
             << "\", \"scalar_s\": " << fmt_sci(r.scalar_s, 4)
             << ", \"vector_s\": " << fmt_sci(r.vector_s, 4)
             << ", \"speedup\": " << fmt_fixed(r.speedup(), 2)
             << ", \"ulp_ok\": " << (r.ok ? "true" : "false") << "}"
             << (i + 1 < rows.size() ? "," : "") << '\n';
     }
-    out << "  ],\n"
-        << "  \"lane_batch\": {\"nets\": " << lb_nets
-        << ", \"sinks\": " << lb_sinks
-        << ", \"scalar_s\": " << fmt_sci(lb_scalar_s, 4)
-        << ", \"vector_s\": " << fmt_sci(lb_vector_s, 4)
-        << ", \"speedup\": " << fmt_fixed(lb_speedup, 2)
-        << ", \"lane_packs\": " << lb_stats.counters.lane_packs
-        << ", \"lane_occupancy\": "
-        << fmt_fixed(lb_stats.counters.lane_occupancy(), 3)
-        << ", \"ulp_ok\": " << (lb_ok ? "true" : "false") << "}\n"
+    out << "  ]\n"
         << "}\n";
     std::cout << "wrote " << path << '\n';
 
-    bool all_ok = lb_ok;
+    bool all_ok = true;
     for (const SimdKernelRow& r : rows) all_ok = all_ok && r.ok;
     return all_ok;
 }

@@ -165,7 +165,6 @@ private:
         int rc_sections_per_edge = 0;
         std::size_t max_nodes_per_net = 0;
         int simd_isa = 0;
-        bool simd_strict = false;
     };
 
     std::size_t capacity_;

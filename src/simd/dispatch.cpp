@@ -1,42 +1,18 @@
 #include "simd/dispatch.h"
 
 #include <atomic>
-#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
 namespace cong93 {
 
 namespace {
 
-// Packed (isa, strict, has_override) so the hot-path read is one atomic load.
-struct PackedConfig {
-    std::uint8_t isa = 0;
-    std::uint8_t strict = 0;
-    std::uint8_t has_override = 0;
-    std::uint8_t initialized = 0;
-};
-
-std::atomic<std::uint32_t> g_config{0};
-
-std::uint32_t pack(PackedConfig c)
-{
-    return static_cast<std::uint32_t>(c.isa) |
-           (static_cast<std::uint32_t>(c.strict) << 8) |
-           (static_cast<std::uint32_t>(c.has_override) << 16) |
-           (static_cast<std::uint32_t>(c.initialized) << 24);
-}
-
-PackedConfig unpack(std::uint32_t v)
-{
-    PackedConfig c;
-    c.isa = static_cast<std::uint8_t>(v & 0xff);
-    c.strict = static_cast<std::uint8_t>((v >> 8) & 0xff);
-    c.has_override = static_cast<std::uint8_t>((v >> 16) & 0xff);
-    c.initialized = static_cast<std::uint8_t>((v >> 24) & 0xff);
-    return c;
-}
+/// The resolved ISA, or kUnset until the first read parses the environment,
+/// so the hot-path read is one atomic load.
+constexpr int kUnset = -1;
+std::atomic<int> g_isa{kUnset};
 
 bool cpu_has_avx2()
 {
@@ -47,28 +23,19 @@ bool cpu_has_avx2()
 #endif
 }
 
-bool cpu_has_neon()
+SimdIsa from_environment()
 {
-#if defined(CONG93_SIMD_HAVE_NEON)
-    // NEON is architecturally guaranteed on aarch64, so a binary that
-    // compiled the NEON kernels can always run them.
-    return true;
-#else
-    return false;
-#endif
-}
-
-PackedConfig from_environment()
-{
-    PackedConfig c;
-    c.initialized = 1;
     SimdMode mode = SimdMode::auto_detect;
-    bool strict = false;
-    if (const char* env = std::getenv("CONG93_SIMD"))
-        parse_simd_spec(env, mode, strict);  // unrecognized text -> auto
-    c.isa = static_cast<std::uint8_t>(resolve_simd_isa(mode));
-    c.strict = strict ? 1 : 0;
-    return c;
+    const char* env = std::getenv("CONG93_SIMD");
+    const bool rejected = env != nullptr && *env != '\0' &&
+                          !parse_simd_spec(env, mode);
+    const SimdIsa isa = resolve_simd_isa(mode);
+    if (rejected)
+        std::fprintf(stderr,
+                     "cong93: unrecognized CONG93_SIMD value '%s' (expected "
+                     "auto, scalar or avx2); using auto -> %s\n",
+                     env, simd_isa_name(isa));
+    return isa;
 }
 
 }  // namespace
@@ -78,108 +45,67 @@ bool simd_isa_supported(SimdIsa isa)
     switch (isa) {
     case SimdIsa::scalar: return true;
     case SimdIsa::avx2: return cpu_has_avx2();
-    case SimdIsa::neon: return cpu_has_neon();
     }
     return false;
 }
 
 SimdIsa resolve_simd_isa(SimdMode mode)
 {
-    switch (mode) {
-    case SimdMode::scalar: return SimdIsa::scalar;
-    case SimdMode::avx2:
-        return cpu_has_avx2() ? SimdIsa::avx2 : SimdIsa::scalar;
-    case SimdMode::neon:
-        return cpu_has_neon() ? SimdIsa::neon : SimdIsa::scalar;
-    case SimdMode::auto_detect: break;
-    }
-    if (cpu_has_avx2()) return SimdIsa::avx2;
-    if (cpu_has_neon()) return SimdIsa::neon;
-    return SimdIsa::scalar;
+    if (mode == SimdMode::scalar) return SimdIsa::scalar;
+    return cpu_has_avx2() ? SimdIsa::avx2 : SimdIsa::scalar;
 }
 
 SimdConfig active_simd_config()
 {
-    PackedConfig c = unpack(g_config.load(std::memory_order_relaxed));
-    if (!c.initialized) {
-        const PackedConfig fresh = from_environment();
+    int isa = g_isa.load(std::memory_order_relaxed);
+    if (isa == kUnset) {
         // A racing first read computes the same value; last store wins.
-        g_config.store(pack(fresh), std::memory_order_relaxed);
-        c = fresh;
+        isa = static_cast<int>(from_environment());
+        g_isa.store(isa, std::memory_order_relaxed);
     }
-    return SimdConfig{static_cast<SimdIsa>(c.isa), c.strict != 0};
+    return SimdConfig{static_cast<SimdIsa>(isa)};
 }
 
-void set_simd_mode(SimdMode mode, bool strict)
+void set_simd_mode(SimdMode mode)
 {
-    PackedConfig c;
-    c.initialized = 1;
-    c.has_override = 1;
-    c.isa = static_cast<std::uint8_t>(resolve_simd_isa(mode));
-    c.strict = strict ? 1 : 0;
-    g_config.store(pack(c), std::memory_order_relaxed);
+    g_isa.store(static_cast<int>(resolve_simd_isa(mode)),
+                std::memory_order_relaxed);
 }
 
 void reset_simd_mode()
 {
-    g_config.store(pack(from_environment()), std::memory_order_relaxed);
+    g_isa.store(static_cast<int>(from_environment()),
+                std::memory_order_relaxed);
 }
 
 const char* simd_isa_name(SimdIsa isa)
 {
-    switch (isa) {
-    case SimdIsa::scalar: return "scalar";
-    case SimdIsa::avx2: return "avx2";
-    case SimdIsa::neon: return "neon";
-    }
-    return "scalar";
+    return isa == SimdIsa::avx2 ? "avx2" : "scalar";
 }
 
-bool parse_simd_spec(const char* text, SimdMode& mode, bool& strict)
+bool parse_simd_spec(const char* text, SimdMode& mode)
 {
     if (text == nullptr) return false;
-    std::string s(text);
-    bool want_strict = false;
-    for (const char* suffix : {"-strict", ",strict"}) {
-        const std::size_t len = std::strlen(suffix);
-        if (s.size() > len && s.compare(s.size() - len, len, suffix) == 0) {
-            want_strict = true;
-            s.resize(s.size() - len);
-            break;
-        }
-    }
-    if (s == "auto")
+    if (std::strcmp(text, "auto") == 0)
         mode = SimdMode::auto_detect;
-    else if (s == "scalar")
+    else if (std::strcmp(text, "scalar") == 0)
         mode = SimdMode::scalar;
-    else if (s == "avx2")
+    else if (std::strcmp(text, "avx2") == 0)
         mode = SimdMode::avx2;
-    else if (s == "neon")
-        mode = SimdMode::neon;
     else
         return false;
-    strict = want_strict;
     return true;
 }
 
-ScopedSimdMode::ScopedSimdMode(SimdMode mode, bool strict)
+ScopedSimdMode::ScopedSimdMode(SimdMode mode)
+    : saved_(active_simd_config().isa)
 {
-    const PackedConfig c = unpack(g_config.load(std::memory_order_relaxed));
-    had_override_ = c.initialized != 0;
-    saved_ = active_simd_config();
-    set_simd_mode(mode, strict);
+    set_simd_mode(mode);
 }
 
 ScopedSimdMode::~ScopedSimdMode()
 {
-    // Restore the exact previous configuration (as an override; a prior
-    // pure-environment state re-resolves to the same values).
-    PackedConfig c;
-    c.initialized = 1;
-    c.has_override = had_override_ ? 1 : 0;
-    c.isa = static_cast<std::uint8_t>(saved_.isa);
-    c.strict = saved_.strict ? 1 : 0;
-    g_config.store(pack(c), std::memory_order_relaxed);
+    g_isa.store(static_cast<int>(saved_), std::memory_order_relaxed);
 }
 
 }  // namespace cong93

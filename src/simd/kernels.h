@@ -1,26 +1,24 @@
 // Raw-array analysis kernels behind the ISA dispatch (simd/dispatch.h).
 //
 // Every kernel here operates on plain pointers so this library depends on
-// nothing above it; the owning layers (delay/, sim/, batch/) build the views
-// from their FlatTree / RcTree / BatchedFlatTree arrays and forward the
-// active SimdConfig.  Three implementations back each dispatcher:
+// nothing above it; the owning layers (delay/, sim/) build the views from
+// their FlatTree / RcTree arrays and forward the active SimdConfig.  Each
+// dispatcher has one kernel path per reduction order:
 //
 //   * scalar  -- the seed kernels, moved here verbatim from delay/ and sim/.
 //     The bit-identity anchor: every oracle gate compares against these.
-//   * avx2    -- 4-double lanes, compiled with -mavx2 in its own TU (never
-//     inlined elsewhere), executed only behind the cpuid check.
-//   * neon    -- 2-double lanes on aarch64.
+//   * relaxed -- the AVX2 ISA's order.  Elmore and moments run 4-double
+//     AVX2 kernels, compiled with -mavx2 in their own TU (never inlined
+//     elsewhere) and executed only behind the cpuid check; the RPH sink
+//     sums run rph_relaxed_scalar, which no vector build beats.
 //
-// Reduction-order contract (DESIGN.md §9):
-//   * strict vectorized kernels produce bits equal to scalar: only
-//     elementwise arithmetic and lane-parallel walks whose per-element
-//     operation sequence matches the scalar kernel are vectorized.
-//   * relaxed kernels may restructure order-sensitive reductions (the
-//     top-down Elmore sweep, multi-accumulator sink sums).  The relaxed
-//     result is still ISA-independent bit for bit -- a vector lane performs
-//     the same IEEE mul/add/sub sequence as the relaxed scalar emulation --
-//     which is what makes lane-batched and per-net execution comparable
-//     with operator== and keeps serial == threaded under any fixed config.
+// Reduction-order contract (DESIGN.md §9): relaxed kernels may restructure
+// order-sensitive reductions (the top-down Elmore sweep, multi-accumulator
+// sink sums), so they are ULP-bounded against scalar.  The relaxed result is
+// still ISA-independent bit for bit -- a vector lane performs the same IEEE
+// mul/add/sub sequence as the relaxed scalar emulation below -- which keeps
+// serial == threaded under either ISA and lets the AVX2 kernels be
+// bit-compared against the emulations on any AVX2 host.
 //
 // No kernel in this library may be compiled with FMA contraction: a fused
 // multiply-add rounds once where the contract above assumes two roundings.
@@ -35,9 +33,6 @@
 
 namespace cong93 {
 namespace simdk {
-
-/// Vector lane width (doubles) of an ISA; 1 for scalar.
-int lane_width(SimdIsa isa);
 
 // ---------------------------------------------------------------------------
 // Elmore delay over a compiled tree's preorder arrays (delay/elmore.h).
@@ -60,9 +55,9 @@ struct ElmoreView {
 };
 
 /// All-sink Elmore delays.  `cap` is an n-double scratch (holds the subtree
-/// capacitances on return of the scalar/strict paths; the relaxed path
-/// repurposes it for the top-down sweep).  `out` receives sink_count delays
-/// in view.sinks order.
+/// capacitances on return of the scalar path; the relaxed path repurposes
+/// it for the top-down sweep).  `out` receives sink_count delays in
+/// view.sinks order.
 void elmore_all_sinks(const ElmoreView& v, const SimdConfig& cfg, double* cap,
                       double* out);
 
@@ -125,37 +120,10 @@ void moments_order(const MomentsView& v, const SimdConfig& cfg,
                    const double* spp);
 
 // ---------------------------------------------------------------------------
-// Lane-batched Elmore over net-interleaved arrays (batch/batched_tree.h).
-// ---------------------------------------------------------------------------
-
-struct BatchedElmoreView {
-    int lanes = 0;              ///< interleave stride K
-    std::size_t max_nodes = 0;  ///< padded per-lane node count
-    /// Interleaved arrays, element (node i, lane l) at i*lanes + l.  Row 0
-    /// parents are -1; padding slots carry parent 0, edge length 0 and sink
-    /// cap 0 so they flow through the sweeps as exact +0.0 no-ops.
-    const std::int32_t* parent = nullptr;
-    const double* edge_len = nullptr;
-    const double* sink_cap = nullptr;  ///< resolved load, 0 for non-sinks
-    /// Per-lane sink index lists (lane-local node indices).
-    const std::int32_t* const* sink_lists = nullptr;
-    const std::size_t* sink_counts = nullptr;
-    double r_unit = 0.0;
-    double c_unit = 0.0;
-    double rd = 0.0;
-};
-
-/// Relaxed-order Elmore across all lanes at once: per lane bit-identical to
-/// the relaxed single-net kernel on that lane's tree.  `cap` is a
-/// lanes*max_nodes scratch; outs[l] receives sink_counts[l] delays.
-void batched_elmore(const BatchedElmoreView& v, const SimdConfig& cfg,
-                    double* cap, double* const* outs);
-
-// ---------------------------------------------------------------------------
 // Per-ISA entry points (exposed for the dispatch-selection tests; call the
-// dispatchers above in production code).  The avx2/neon variants exist only
-// when the matching CONG93_SIMD_HAVE_* build is compiled in -- check
-// simd_isa_supported() before calling.
+// dispatchers above in production code).  The avx2 variants exist only when
+// CONG93_SIMD_HAVE_AVX2 is compiled in -- check simd_isa_supported() before
+// calling.
 // ---------------------------------------------------------------------------
 
 void elmore_scalar(const ElmoreView& v, double* cap, double* out);
@@ -169,30 +137,11 @@ void moments_order_scalar(const MomentsView& v, const double* prev, double* cur,
 void moments_order_relaxed_scalar(const MomentsView& v, const double* prev,
                                   double* cur, double* subtree,
                                   const double* spp);
-void batched_elmore_scalar(const BatchedElmoreView& v, double* cap,
-                           double* const* outs);
 
-void elmore_strict_avx2(const ElmoreView& v, double* cap, double* out);
 void elmore_relaxed_avx2(const ElmoreView& v, double* cap, double* out);
-RphSums rph_relaxed_avx2(const RphView& v);
-void moments_order_strict_avx2(const MomentsView& v, const double* prev,
-                               double* cur, double* subtree, const double* spp);
 void moments_order_relaxed_avx2(const MomentsView& v, const double* prev,
                                 double* cur, double* subtree,
                                 const double* spp);
-void batched_elmore_avx2(const BatchedElmoreView& v, double* cap,
-                         double* const* outs);
-
-void elmore_strict_neon(const ElmoreView& v, double* cap, double* out);
-void elmore_relaxed_neon(const ElmoreView& v, double* cap, double* out);
-RphSums rph_relaxed_neon(const RphView& v);
-void moments_order_strict_neon(const MomentsView& v, const double* prev,
-                               double* cur, double* subtree, const double* spp);
-void moments_order_relaxed_neon(const MomentsView& v, const double* prev,
-                                double* cur, double* subtree,
-                                const double* spp);
-void batched_elmore_neon(const BatchedElmoreView& v, double* cap,
-                         double* const* outs);
 
 }  // namespace simdk
 }  // namespace cong93

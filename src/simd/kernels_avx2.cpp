@@ -85,150 +85,6 @@ void elmore_relaxed_avx2(const ElmoreView& v, double* cap, double* out)
         out[j] = cap[static_cast<std::size_t>(v.sinks[j])];
 }
 
-void elmore_strict_avx2(const ElmoreView& v, double* cap, double* out)
-{
-    const std::size_t n = v.n;
-    if (n == 0) return;
-    // Subtree caps in the seed order: base wire cap (elementwise vector ==
-    // scalar), then the sink load, then children in CSR order.  The base and
-    // load land in cap[i] before any child is accumulated, so every node's
-    // addition sequence equals the seed kernel's.
-    const __m256d cu = _mm256_set1_pd(v.c_unit);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i el = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(v.edge_len + i));
-        _mm256_storeu_pd(cap + i, _mm256_mul_pd(cu, i64_to_f64(el)));
-    }
-    for (; i < n; ++i) cap[i] = v.c_unit * static_cast<double>(v.edge_len[i]);
-    for (std::size_t j = 0; j < v.sink_count; ++j) {
-        const std::int32_t s = v.sinks[j];
-        cap[s] += resolved_cap(v, s);
-    }
-    for (i = n; i-- > 0;) {
-        double c = cap[i];
-        for (std::int32_t k = v.child_ptr[i]; k < v.child_ptr[i + 1]; ++k)
-            c += cap[static_cast<std::size_t>(v.child_idx[k])];
-        cap[i] = c;
-    }
-    const double c_total = cap[0];
-    // Sink walks four at a time.  A finished lane parks at the root: its
-    // edge length is 0, so each further iteration adds re*(cap-0) with
-    // re = +0, an exact +0.0 that cannot change the non-negative total; the
-    // parent step clamps root's -1 back to 0.  Per lane the contribution
-    // order is the seed's (sink up to root), so bits match scalar.
-    const double t0 = v.rd * c_total;
-    const __m256d ru = _mm256_set1_pd(v.r_unit);
-    const __m256d half = _mm256_set1_pd(0.5);
-    const __m128i zero = _mm_setzero_si128();
-    std::size_t j = 0;
-    for (; j + 4 <= v.sink_count; j += 4) {
-        __m128i id = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(v.sinks + j));
-        __m256d t = _mm256_set1_pd(t0);
-        while (_mm_movemask_epi8(_mm_cmpeq_epi32(id, zero)) != 0xffff) {
-            const __m256d el = i64_to_f64(_mm256_i32gather_epi64(
-                reinterpret_cast<const long long*>(v.edge_len), id, 8));
-            const __m256d capv = _mm256_i32gather_pd(cap, id, 8);
-            const __m256d re = _mm256_mul_pd(ru, el);
-            const __m256d ce = _mm256_mul_pd(cu, el);
-            const __m256d contrib =
-                _mm256_mul_pd(re, _mm256_sub_pd(capv, _mm256_mul_pd(half, ce)));
-            t = _mm256_add_pd(t, contrib);
-            id = _mm_i32gather_epi32(v.parent, id, 4);
-            id = _mm_max_epi32(id, zero);
-        }
-        _mm256_storeu_pd(out + j, t);
-    }
-    for (; j < v.sink_count; ++j) {
-        double t = t0;
-        for (std::int32_t id = v.sinks[j]; id != 0; id = v.parent[id]) {
-            const double re = v.r_unit * static_cast<double>(v.edge_len[id]);
-            const double ce = v.c_unit * static_cast<double>(v.edge_len[id]);
-            t += re * (cap[static_cast<std::size_t>(id)] - 0.5 * ce);
-        }
-        out[j] = t;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RPH
-// ---------------------------------------------------------------------------
-
-RphSums rph_relaxed_avx2(const RphView& v)
-{
-    RphSums s;
-    for (std::size_t i = 1; i < v.n; ++i) {
-        const std::int64_t l = v.edge_len[i];
-        const std::int64_t a = v.path_len[i] - l;
-        s.length_sum += l;
-        s.qmst_sum += l * a + l * (l + 1) / 2;
-    }
-    // Four-lane sink sums; lane shape and pairwise combine match
-    // rph_relaxed_scalar exactly.
-    //
-    // Tile staging instead of hardware gathers: the sink loop's inputs are
-    // two indexed loads per sink (sink_cap, path_len), and the original
-    // `_mm256_i32gather_*` pair serialized on gather latency.  Staging a
-    // 16-sink tile through contiguous buffers with scalar loads lets the
-    // out-of-order core overlap the loads, folds the cap-default resolve
-    // and the exact int->double cast into the (cheap) staging pass, and
-    // leaves the vector loop pure arithmetic.  Lane assignment (sink j ->
-    // lane j&3) is unchanged, so the sums are bit-identical to the gather
-    // version and to the scalar emulation.  Measured ~1x end to end (the
-    // kernel is load-bound either way; see EXPERIMENTS.md) -- kept for the
-    // shorter dependency chain and to keep the lane-batch path gather-free.
-    const __m256d r0v = _mm256_set1_pd(v.r0);
-    const __m256d rdv = _mm256_set1_pd(v.rd);
-    __m256d t2v = _mm256_setzero_pd();
-    __m256d t4v = _mm256_setzero_pd();
-    constexpr std::size_t kTile = 16;
-    alignas(32) double ck_tile[kTile];
-    alignas(32) double pl_tile[kTile];
-    std::size_t j = 0;
-    for (; j + kTile <= v.sink_count; j += kTile) {
-        for (std::size_t t = 0; t < kTile; ++t) {
-            const std::int32_t k = v.sinks[j + t];
-            const double sc = v.sink_cap[k];
-            ck_tile[t] = sc >= 0.0 ? sc : v.default_sink_cap;
-            pl_tile[t] = static_cast<double>(v.path_len[k]);
-        }
-        for (std::size_t t = 0; t < kTile; t += 4) {
-            const __m256d ck = _mm256_load_pd(ck_tile + t);
-            const __m256d pl = _mm256_load_pd(pl_tile + t);
-            t2v = _mm256_add_pd(t2v,
-                                _mm256_mul_pd(_mm256_mul_pd(r0v, pl), ck));
-            t4v = _mm256_add_pd(t4v, _mm256_mul_pd(rdv, ck));
-        }
-    }
-    for (; j + 4 <= v.sink_count; j += 4) {
-        for (std::size_t t = 0; t < 4; ++t) {
-            const std::int32_t k = v.sinks[j + t];
-            const double sc = v.sink_cap[k];
-            ck_tile[t] = sc >= 0.0 ? sc : v.default_sink_cap;
-            pl_tile[t] = static_cast<double>(v.path_len[k]);
-        }
-        const __m256d ck = _mm256_load_pd(ck_tile);
-        const __m256d pl = _mm256_load_pd(pl_tile);
-        t2v = _mm256_add_pd(t2v, _mm256_mul_pd(_mm256_mul_pd(r0v, pl), ck));
-        t4v = _mm256_add_pd(t4v, _mm256_mul_pd(rdv, ck));
-    }
-    alignas(32) double t2[4];
-    alignas(32) double t4[4];
-    _mm256_store_pd(t2, t2v);
-    _mm256_store_pd(t4, t4v);
-    for (; j < v.sink_count; ++j) {
-        const std::int32_t k = v.sinks[j];
-        const double sc = v.sink_cap[k];
-        const double ck = sc >= 0.0 ? sc : v.default_sink_cap;
-        t2[j & 3] += v.r0 * static_cast<double>(v.path_len[k]) * ck;
-        t4[j & 3] += v.rd * ck;
-    }
-    s.t2 = (t2[0] + t2[1]) + (t2[2] + t2[3]);
-    s.t4 = (t4[0] + t4[1]) + (t4[2] + t4[3]);
-    return s;
-}
-
 // ---------------------------------------------------------------------------
 // Moments
 // ---------------------------------------------------------------------------
@@ -251,35 +107,6 @@ inline void init_currents(const MomentsView& v, const double* prev,
                                                     _mm256_loadu_pd(prev + i)));
     for (; i < n; ++i) subtree[i] = v.c[i] * prev[i];
 }
-
-inline void accumulate_up(const MomentsView& v, double* subtree)
-{
-    for (std::size_t i = v.n; i-- > 1;)
-        subtree[static_cast<std::size_t>(v.parent[i])] += subtree[i];
-}
-
-}  // namespace
-
-void moments_order_strict_avx2(const MomentsView& v, const double* prev,
-                               double* cur, double* subtree, const double* spp)
-{
-    const std::size_t n = v.n;
-    init_currents(v, prev, subtree);
-    accumulate_up(v, subtree);
-    if (v.lh != nullptr && spp != nullptr) {
-        cur[0] = -v.r[0] * subtree[0] - v.lh[0] * spp[0];
-        for (std::size_t i = 1; i < n; ++i)
-            cur[i] = cur[static_cast<std::size_t>(v.parent[i])] -
-                     v.r[i] * subtree[i] - v.lh[i] * spp[i];
-    } else {
-        cur[0] = -v.r[0] * subtree[0];
-        for (std::size_t i = 1; i < n; ++i)
-            cur[i] = cur[static_cast<std::size_t>(v.parent[i])] -
-                     v.r[i] * subtree[i];
-    }
-}
-
-namespace {
 
 // Vector twin of kernels_scalar.cpp's suffix_scan_chain: one 4-wide group
 // per step from the top, t = x + shift_down1(x); s = t + shift_down2(t);
@@ -397,87 +224,6 @@ void moments_order_relaxed_avx2(const MomentsView& v, const double* prev,
             cur[j] = cur[static_cast<std::size_t>(v.parent[j])] - d;
             ++j;
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lane-batched Elmore
-// ---------------------------------------------------------------------------
-
-void batched_elmore_avx2(const BatchedElmoreView& v, double* cap,
-                         double* const* outs)
-{
-    const std::size_t K = static_cast<std::size_t>(v.lanes);
-    const std::size_t M = v.max_nodes;
-    if (K == 0 || M == 0) return;
-    const std::size_t total = K * M;
-    const __m256d cu = _mm256_set1_pd(v.c_unit);
-    // 1. Fused wire cap + resolved sink load, elementwise over the arena.
-    std::size_t idx = 0;
-    for (; idx + 4 <= total; idx += 4)
-        _mm256_storeu_pd(
-            cap + idx,
-            _mm256_add_pd(_mm256_mul_pd(cu, _mm256_loadu_pd(v.edge_len + idx)),
-                          _mm256_loadu_pd(v.sink_cap + idx)));
-    for (; idx < total; ++idx)
-        cap[idx] = v.c_unit * v.edge_len[idx] + v.sink_cap[idx];
-    // 2. Bottom-up accumulation, one lane-group per row step.  Within a row
-    // the lanes are independent trees; the parent row-major RMW is scalar
-    // per lane (AVX2 has gathers but no scatter).
-    for (std::size_t i = M; i-- > 1;)
-        for (std::size_t l = 0; l < K; ++l) {
-            const std::size_t e = i * K + l;
-            const std::size_t p = static_cast<std::size_t>(v.parent[e]);
-            cap[p * K + l] += cap[e];
-        }
-    // 3. Per-edge contributions, elementwise (row 0 excluded).
-    const __m256d ru = _mm256_set1_pd(v.r_unit);
-    const __m256d half = _mm256_set1_pd(0.5);
-    for (idx = K; idx + 4 <= total; idx += 4) {
-        const __m256d el = _mm256_loadu_pd(v.edge_len + idx);
-        const __m256d re = _mm256_mul_pd(ru, el);
-        const __m256d ce = _mm256_mul_pd(cu, el);
-        const __m256d t =
-            _mm256_sub_pd(_mm256_loadu_pd(cap + idx), _mm256_mul_pd(half, ce));
-        _mm256_storeu_pd(cap + idx, _mm256_mul_pd(re, t));
-    }
-    for (; idx < total; ++idx) {
-        const double el = v.edge_len[idx];
-        const double re = v.r_unit * el;
-        const double ce = v.c_unit * el;
-        cap[idx] = re * (cap[idx] - 0.5 * ce);
-    }
-    // Root delays.
-    for (std::size_t l = 0; l < K; ++l) cap[l] = v.rd * cap[l];
-    // 4. Top-down prefix sums: gather the parent row (finalized -- parents
-    // precede children within every lane) and add this row's contributions,
-    // K lanes per vector op when K == 4.
-    if (K == 4) {
-        const __m128i lane_off = _mm_set_epi32(3, 2, 1, 0);
-        const __m128i four = _mm_set1_epi32(4);
-        for (std::size_t i = 1; i < M; ++i) {
-            const std::size_t e = i * 4;
-            const __m128i p = _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(v.parent + e));
-            const __m128i gidx =
-                _mm_add_epi32(_mm_mullo_epi32(p, four), lane_off);
-            const __m256d pd = _mm256_i32gather_pd(cap, gidx, 8);
-            _mm256_storeu_pd(cap + e,
-                             _mm256_add_pd(pd, _mm256_loadu_pd(cap + e)));
-        }
-    } else {
-        for (std::size_t i = 1; i < M; ++i)
-            for (std::size_t l = 0; l < K; ++l) {
-                const std::size_t e = i * K + l;
-                const std::size_t p = static_cast<std::size_t>(v.parent[e]);
-                cap[e] = cap[p * K + l] + cap[e];
-            }
-    }
-    for (std::size_t l = 0; l < K; ++l) {
-        if (outs[l] == nullptr) continue;
-        for (std::size_t j = 0; j < v.sink_counts[l]; ++j)
-            outs[l][j] =
-                cap[static_cast<std::size_t>(v.sink_lists[l][j]) * K + l];
     }
 }
 

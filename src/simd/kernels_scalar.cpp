@@ -5,7 +5,7 @@
 // The relaxed emulations define the relaxed results: a vectorized relaxed
 // kernel must perform, per element, exactly the IEEE operation sequence
 // written here, so its output is bit-equal to these on every input.  That is
-// the property the lane-batch and cross-ISA identity tests lean on.
+// the property the cross-ISA identity tests lean on.
 #include "simd/kernels.h"
 
 namespace cong93 {
@@ -21,16 +21,6 @@ inline double resolved_cap(const ElmoreView& v, std::int32_t s)
 }
 
 }  // namespace
-
-int lane_width(SimdIsa isa)
-{
-    switch (isa) {
-    case SimdIsa::avx2: return 4;
-    case SimdIsa::neon: return 2;
-    case SimdIsa::scalar: break;
-    }
-    return 1;
-}
 
 // ---------------------------------------------------------------------------
 // Elmore
@@ -69,9 +59,7 @@ void elmore_relaxed_scalar(const ElmoreView& v, double* cap, double* out)
 {
     const std::size_t n = v.n;
     if (n == 0) return;
-    // 1. Wire capacitance per node, then sink loads.  (The lane-batched
-    // kernel fuses these as c_unit*el + scap with scap = 0 off-sink; both
-    // sequences produce identical bits because c_unit*el >= +0.)
+    // 1. Wire capacitance per node, then sink loads.
     for (std::size_t i = 0; i < n; ++i)
         cap[i] = v.c_unit * static_cast<double>(v.edge_len[i]);
     for (std::size_t j = 0; j < v.sink_count; ++j) {
@@ -99,28 +87,16 @@ void elmore_relaxed_scalar(const ElmoreView& v, double* cap, double* out)
         out[j] = cap[static_cast<std::size_t>(v.sinks[j])];
 }
 
-void elmore_all_sinks(const ElmoreView& v, const SimdConfig& cfg, double* cap,
+void elmore_all_sinks(const ElmoreView& v,
+                      [[maybe_unused]] const SimdConfig& cfg, double* cap,
                       double* out)
 {
-    switch (cfg.isa) {
 #if defined(CONG93_SIMD_HAVE_AVX2)
-    case SimdIsa::avx2:
-        if (cfg.strict)
-            elmore_strict_avx2(v, cap, out);
-        else
-            elmore_relaxed_avx2(v, cap, out);
+    if (cfg.isa == SimdIsa::avx2) {
+        elmore_relaxed_avx2(v, cap, out);
         return;
-#endif
-#if defined(CONG93_SIMD_HAVE_NEON)
-    case SimdIsa::neon:
-        if (cfg.strict)
-            elmore_strict_neon(v, cap, out);
-        else
-            elmore_relaxed_neon(v, cap, out);
-        return;
-#endif
-    default: break;
     }
+#endif
     elmore_scalar(v, cap, out);
 }
 
@@ -158,8 +134,9 @@ RphSums rph_relaxed_scalar(const RphView& v)
         s.qmst_sum += l * a + l * (l + 1) / 2;
     }
     // Sink sums in four logical lanes (element j accumulates into lane
-    // j mod 4, lanes combined pairwise) -- the fixed shape every vectorized
-    // relaxed build reproduces regardless of its hardware lane width.
+    // j mod 4, lanes combined pairwise).  This loop is load-bound on the
+    // two indexed reads per sink, so relaxed mode runs it as is on every
+    // ISA; an AVX2 build of it measured 0.82-1.07x.
     double t2[4] = {0.0, 0.0, 0.0, 0.0};
     double t4[4] = {0.0, 0.0, 0.0, 0.0};
     for (std::size_t j = 0; j < v.sink_count; ++j) {
@@ -176,20 +153,7 @@ RphSums rph_relaxed_scalar(const RphView& v)
 
 RphSums rph_sums(const RphView& v, const SimdConfig& cfg)
 {
-    switch (cfg.isa) {
-#if defined(CONG93_SIMD_HAVE_AVX2)
-    case SimdIsa::avx2:
-        if (!cfg.strict) return rph_relaxed_avx2(v);
-        break;  // strict: the seed order is the contract
-#endif
-#if defined(CONG93_SIMD_HAVE_NEON)
-    case SimdIsa::neon:
-        if (!cfg.strict) return rph_relaxed_neon(v);
-        break;
-#endif
-    default: break;
-    }
-    return rph_scalar(v);
+    return cfg.isa == SimdIsa::scalar ? rph_scalar(v) : rph_relaxed_scalar(v);
 }
 
 // ---------------------------------------------------------------------------
@@ -229,7 +193,7 @@ namespace {
 // one vector step -- t = x + shift_down1(x); s = t + shift_down2(t);
 // out = s + carry -- remainder handled sequentially at the bottom.  The
 // explicit `+ 0.0` terms are the lanes a vector shift fills with zero; they
-// are kept so the AVX2/NEON kernels match this emulation bit for bit.
+// are kept so the AVX2 kernel matches this emulation bit for bit.
 inline void suffix_scan_chain(double* z, std::size_t lo, std::size_t hi)
 {
     std::size_t p = hi;
@@ -354,99 +318,17 @@ void moments_order_relaxed_scalar(const MomentsView& v, const double* prev,
     }
 }
 
-void moments_order(const MomentsView& v, const SimdConfig& cfg,
-                   const double* prev, double* cur, double* subtree,
-                   const double* spp)
+void moments_order(const MomentsView& v,
+                   [[maybe_unused]] const SimdConfig& cfg, const double* prev,
+                   double* cur, double* subtree, const double* spp)
 {
-    switch (cfg.isa) {
 #if defined(CONG93_SIMD_HAVE_AVX2)
-    case SimdIsa::avx2:
-        if (cfg.strict)
-            moments_order_strict_avx2(v, prev, cur, subtree, spp);
-        else
-            moments_order_relaxed_avx2(v, prev, cur, subtree, spp);
+    if (cfg.isa == SimdIsa::avx2) {
+        moments_order_relaxed_avx2(v, prev, cur, subtree, spp);
         return;
-#endif
-#if defined(CONG93_SIMD_HAVE_NEON)
-    case SimdIsa::neon:
-        if (cfg.strict)
-            moments_order_strict_neon(v, prev, cur, subtree, spp);
-        else
-            moments_order_relaxed_neon(v, prev, cur, subtree, spp);
-        return;
-#endif
-    default: break;
     }
+#endif
     moments_order_scalar(v, prev, cur, subtree, spp);
-}
-
-// ---------------------------------------------------------------------------
-// Lane-batched Elmore
-// ---------------------------------------------------------------------------
-
-void batched_elmore_scalar(const BatchedElmoreView& v, double* cap,
-                           double* const* outs)
-{
-    const std::size_t K = static_cast<std::size_t>(v.lanes);
-    const std::size_t M = v.max_nodes;
-    if (K == 0 || M == 0) return;
-    // Per lane this is exactly elmore_relaxed_scalar on that lane's tree:
-    // padding slots carry el = scap = 0 and parent = 0, so they flow through
-    // every pass as exact +0.0 no-ops.
-    for (std::size_t idx = 0; idx < K * M; ++idx)
-        cap[idx] = v.c_unit * v.edge_len[idx] + v.sink_cap[idx];
-    for (std::size_t i = M; i-- > 1;)
-        for (std::size_t l = 0; l < K; ++l) {
-            const std::size_t idx = i * K + l;
-            const std::size_t p = static_cast<std::size_t>(v.parent[idx]);
-            cap[p * K + l] += cap[idx];
-        }
-    for (std::size_t i = 1; i < M; ++i)
-        for (std::size_t l = 0; l < K; ++l) {
-            const std::size_t idx = i * K + l;
-            const double el = v.edge_len[idx];
-            const double re = v.r_unit * el;
-            const double ce = v.c_unit * el;
-            cap[idx] = re * (cap[idx] - 0.5 * ce);
-        }
-    for (std::size_t l = 0; l < K; ++l) cap[l] = v.rd * cap[l];
-    for (std::size_t i = 1; i < M; ++i)
-        for (std::size_t l = 0; l < K; ++l) {
-            const std::size_t idx = i * K + l;
-            const std::size_t p = static_cast<std::size_t>(v.parent[idx]);
-            cap[idx] = cap[p * K + l] + cap[idx];
-        }
-    for (std::size_t l = 0; l < K; ++l) {
-        if (outs[l] == nullptr) continue;
-        for (std::size_t j = 0; j < v.sink_counts[l]; ++j)
-            outs[l][j] =
-                cap[static_cast<std::size_t>(v.sink_lists[l][j]) * K + l];
-    }
-}
-
-void batched_elmore(const BatchedElmoreView& v, const SimdConfig& cfg,
-                    double* cap, double* const* outs)
-{
-    switch (cfg.isa) {
-#if defined(CONG93_SIMD_HAVE_AVX2)
-    case SimdIsa::avx2:
-        if (!cfg.strict) {
-            batched_elmore_avx2(v, cap, outs);
-            return;
-        }
-        break;  // strict mode never lane-batches; scalar emulation for tests
-#endif
-#if defined(CONG93_SIMD_HAVE_NEON)
-    case SimdIsa::neon:
-        if (!cfg.strict) {
-            batched_elmore_neon(v, cap, outs);
-            return;
-        }
-        break;
-#endif
-    default: break;
-    }
-    batched_elmore_scalar(v, cap, outs);
 }
 
 }  // namespace simdk

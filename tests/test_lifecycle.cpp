@@ -339,7 +339,19 @@ TEST(LifecycleService, QueueCapRejectsOverlappingRequests)
         std::atomic<bool> started{false};
         std::thread long_req([&] {
             started.store(true);
-            svc.add_batch(a, big);
+            // The tiny requests below may win the only queue slot first; an
+            // OverloadError escaping this thread would terminate the test
+            // binary, so the long request retries its own rejections.  They
+            // do not count towards saw_rejection, which only the second
+            // session's requests can set.
+            for (;;) {
+                try {
+                    svc.add_batch(a, big);
+                    return;
+                } catch (const OverloadError&) {
+                    std::this_thread::yield();
+                }
+            }
         });
         while (!started.load()) std::this_thread::yield();
         // Hammer the second session while the first request holds the only

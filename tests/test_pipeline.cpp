@@ -2,7 +2,8 @@
 // flat-vs-reference evaluator bit-identity (Elmore, RPH terms, wiresize
 // delay/theta-phi, moments, GREWSA fixpoints), thread-pool exception
 // propagation, chunked-dynamic-scheduling coverage, multi-thread
-// determinism of route_batch, and workspace arena reuse.
+// determinism of route_batch, workspace arena reuse, and pinned digests of
+// the default-mode and scalar output bytes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -361,6 +362,66 @@ TEST(Pipeline, ReportsConsistentDelays)
     }
     EXPECT_EQ(stats.counters.tree_builds, 5u);
     EXPECT_EQ(stats.counters.moment_evals, 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Golden output: pinned digests of format_results bytes
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a(const std::string& bytes)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+struct GoldenCase {
+    std::uint64_t seed;
+    int count;
+    int sinks;
+    std::uint64_t digest;
+};
+
+void expect_golden(const GoldenCase (&cases)[3])
+{
+    const Technology tech = mcm_technology();
+    for (const GoldenCase& c : cases) {
+        const std::string bytes = format_results(
+            route_batch(c.seed, c.count, kMcmGrid, c.sinks, tech));
+        EXPECT_EQ(fnv1a(bytes), c.digest)
+            << "seed " << c.seed << ", " << c.count << " nets of " << c.sinks
+            << " sinks";
+    }
+}
+
+TEST(Pipeline, GoldenOutputScalar)
+{
+    // The seed-exact kernels produce these bytes on every host.
+    static const GoldenCase cases[3] = {
+        {2024, 200, 6, 0x7399818d0146077bull},
+        {7, 64, 16, 0xd3890185ee3a9bebull},
+        {99, 16, 50, 0x4f0f3ab4eaa26b3dull},
+    };
+    ScopedSimdMode pin(SimdMode::scalar);
+    expect_golden(cases);
+}
+
+TEST(Pipeline, GoldenOutputDefaultAvx2)
+{
+    // Default mode on an AVX2 host runs the relaxed kernels, whose bits
+    // differ from scalar within a ULP bound; these are their bytes.
+    static const GoldenCase cases[3] = {
+        {2024, 200, 6, 0x1876e545154027edull},
+        {7, 64, 16, 0x14bcc610055198aaull},
+        {99, 16, 50, 0xba7d8097802e139full},
+    };
+    ScopedSimdMode pin(SimdMode::auto_detect);
+    if (active_simd_config().isa != SimdIsa::avx2)
+        GTEST_SKIP() << "auto does not resolve to avx2 on this host";
+    expect_golden(cases);
 }
 
 TEST(Pipeline, EmptyAndDegenerateBatches)

@@ -11,8 +11,7 @@ of checks with different severities:
   rows cannot hide a false verdict at any depth) -- must be true in the
   fresh study.  These assert bit-exact equivalence of optimized kernels
   against their reference twins (``ulp_ok``: ULP-bounded equivalence of
-  relaxed vectorized kernels, bit-exact for strict rows), which no machine
-  variance can excuse.  A fresh study that silently DROPS a committed
+  the relaxed vectorized kernels), which no machine variance can excuse.  A fresh study that silently DROPS a committed
   ``cache_mt*``, ``serve_overload*`` or ``chip_*`` determinism section is a
   hard failure too: the identity claim must be re-proven, not removed.
 
@@ -61,18 +60,11 @@ import sys
 
 
 def row_key(section, row):
-    """Stable identity of a timing row: section, optional kernel/mode, size."""
+    """Stable identity of a timing row: section, optional kernel, size."""
     # Pipeline scaling rows carry both fields; threads is the row identity
-    # there (sinks is just the batch shape, which smoke runs shrink).  SIMD
-    # kernel rows repeat each (kernel, sinks) pair per reduction-order mode.
+    # there (sinks is just the batch shape, which smoke runs shrink).
     size_field = "threads" if "threads" in row else "sinks"
-    return (
-        section,
-        row.get("kernel", ""),
-        row.get("mode", ""),
-        size_field,
-        row.get(size_field),
-    )
+    return (section, row.get("kernel", ""), size_field, row.get(size_field))
 
 
 def timing_rows(study):
