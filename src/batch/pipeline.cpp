@@ -17,7 +17,6 @@
 #include "baseline/spt.h"
 #include "delay/elmore.h"
 #include "delay/rph.h"
-#include "netgen/netgen.h"
 #include "rtree/segments.h"
 #include "rtree/validate.h"
 #include "session/route_cache.h"
@@ -28,6 +27,9 @@
 namespace cong93 {
 
 namespace {
+
+/// RC discretization of the stage-5 moment cross-check.
+constexpr int kRcSectionsPerEdge = 8;
 
 /// What stages 0-2 left behind for the report/tail stages.
 struct FrontOutcome {
@@ -297,30 +299,28 @@ void route_tail(const FlatTree& ft, std::size_t index, const Technology& t,
         r.assignment = std::move(best.assignment);
         clk.charge(RouteStage::wiresize);
 
-        if (opts.moment_check) {
-            // Deadline boundary between wiresize and its cross-check: an
-            // unverified wiresized result is not reported, so pressure here
-            // drops the wiresized numbers and keeps the uniform-width ones.
-            if (clk.pressured(r)) {
-                r.status = worst(r.status, RouteStatus::deadline_degraded);
-                r.wiresized_delay_s = 0.0;
-                r.assignment.clear();
-                return;
-            }
-            stage = RouteStage::moment_check;
-            faults.maybe_throw(index, RouteStage::moment_check,
-                               "injected: moment cross-check fault");
-            const RcTree rc = RcTree::from_wiresized_flat(
-                ctx, r.assignment, opts.rc_sections_per_edge);
-            const auto& m = compute_moments(rc, 1, ws.moments);
-            double worst_m = 0.0;
-            for (const int s : rc.sink_nodes())
-                worst_m = std::max(worst_m, -m[0][static_cast<std::size_t>(s)]);
-            if (!std::isfinite(worst_m))
-                throw std::runtime_error("non-finite moment cross-check delay");
-            r.moment_elmore_max_s = worst_m;
-            clk.charge(RouteStage::moment_check);
+        // Deadline boundary between wiresize and its cross-check: an
+        // unverified wiresized result is not reported, so pressure here
+        // drops the wiresized numbers and keeps the uniform-width ones.
+        if (clk.pressured(r)) {
+            r.status = worst(r.status, RouteStatus::deadline_degraded);
+            r.wiresized_delay_s = 0.0;
+            r.assignment.clear();
+            return;
         }
+        stage = RouteStage::moment_check;
+        faults.maybe_throw(index, RouteStage::moment_check,
+                           "injected: moment cross-check fault");
+        const RcTree rc =
+            RcTree::from_wiresized_flat(ctx, r.assignment, kRcSectionsPerEdge);
+        const auto& m = compute_moments(rc, 1, ws.moments);
+        double worst_m = 0.0;
+        for (const int s : rc.sink_nodes())
+            worst_m = std::max(worst_m, -m[0][static_cast<std::size_t>(s)]);
+        if (!std::isfinite(worst_m))
+            throw std::runtime_error("non-finite moment cross-check delay");
+        r.moment_elmore_max_s = worst_m;
+        clk.charge(RouteStage::moment_check);
     } catch (const std::exception& e) {
         r.diag.note(stage, e.what());
         r.status = worst(r.status, RouteStatus::uniform_width);
@@ -427,9 +427,21 @@ bool cacheable_net(const Net& net)
     return true;
 }
 
-void tally_outcomes(const std::vector<NetRouteResult>& out, PipelineStats& stats)
+}  // namespace
+
+void tally_outcomes(const std::vector<NetRouteResult>& results,
+                    PipelineStats& stats)
 {
-    for (const NetRouteResult& r : out) {
+    stats.nets_ok = 0;
+    stats.nets_fallback = 0;
+    stats.nets_uniform_width = 0;
+    stats.nets_deadline_degraded = 0;
+    stats.nets_invalid = 0;
+    stats.nets_cancelled = 0;
+    stats.nets_rejected = 0;
+    stats.nets_failed = 0;
+    stats.fault_events = 0;
+    for (const NetRouteResult& r : results) {
         switch (r.status) {
         case RouteStatus::ok: ++stats.nets_ok; break;
         case RouteStatus::fallback_brbc:
@@ -447,15 +459,17 @@ void tally_outcomes(const std::vector<NetRouteResult>& out, PipelineStats& stats
     }
 }
 
-std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
-                                             std::uint64_t diag_seed_base,
-                                             bool seeded,
-                                             const std::uint64_t* diag_seeds,
-                                             const Technology& tech,
-                                             const PipelineOptions& opts,
-                                             PipelineStats* stats,
-                                             std::vector<Workspace>* workspaces)
+std::vector<NetRouteResult> route_batch(const std::vector<Net>& nets,
+                                        const Technology& tech,
+                                        const PipelineOptions& opts,
+                                        PipelineStats* stats,
+                                        std::vector<Workspace>* workspaces,
+                                        const std::vector<std::uint64_t>& diag_seeds)
 {
+    if (!diag_seeds.empty() && diag_seeds.size() != nets.size())
+        throw std::invalid_argument("route_batch: diag_seeds size " +
+                                    std::to_string(diag_seeds.size()) +
+                                    " != nets size " + std::to_string(nets.size()));
     const int threads =
         opts.threads <= 0 ? default_thread_count() : opts.threads;
     // A pool on a single-core host only adds context switches on top of the
@@ -493,8 +507,7 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
     lc.wall_degraded = &wall_degraded;
 
     const auto seed_of = [&](std::size_t i) -> std::uint64_t {
-        if (diag_seeds != nullptr) return diag_seeds[i];
-        return seeded ? net_seed(diag_seed_base, i) : 0;
+        return diag_seeds.empty() ? 0 : diag_seeds[i];
     };
 
     std::uint64_t builds_before = 0;
@@ -631,14 +644,11 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
                                ws[static_cast<std::size_t>(slot)]);
     };
 
-    // Dynamic-scheduling granularity: with an explicit chunk honor it;
-    // otherwise size chunks for ~8 pulls per worker, so small batches of
-    // cheap nets do not pay one atomic round-trip per net (the 2-thread
+    // Dynamic-scheduling granularity: ~8 pulls per worker, so small batches
+    // of cheap nets do not pay one atomic round-trip per net (the 2-thread
     // regression) while skewed ones still balance.
-    std::size_t chunk = opts.chunk;
-    if (chunk == 0)
-        chunk = std::clamp<std::size_t>(
-            nets.size() / (static_cast<std::size_t>(pool_threads) * 8), 1, 64);
+    const std::size_t chunk = std::clamp<std::size_t>(
+        nets.size() / (static_cast<std::size_t>(pool_threads) * 8), 1, 64);
 
     const auto t0 = std::chrono::steady_clock::now();
     const bool serial = pool_threads <= 1 || nets.size() < 2;
@@ -731,8 +741,6 @@ std::vector<NetRouteResult> route_batch_impl(const std::vector<Net>& nets,
     return out;
 }
 
-}  // namespace
-
 NetRouteResult route_single(const Net& net, std::size_t index,
                             std::uint64_t diag_seed, const Technology& tech,
                             const PipelineOptions& opts, Workspace& ws)
@@ -768,41 +776,6 @@ void route_tail_compiled(const FlatTree& ft, std::size_t index,
     // behavior it does not replicate; repairs run with an inert clock.
     NetClock clk;
     route_tail(ft, index, t, opts, faults, clk, ws, r, solver);
-}
-
-std::vector<NetRouteResult> route_batch(const std::vector<Net>& nets,
-                                        const Technology& tech,
-                                        const PipelineOptions& opts,
-                                        PipelineStats* stats,
-                                        std::vector<Workspace>* workspaces)
-{
-    return route_batch_impl(nets, 0, false, nullptr, tech, opts, stats,
-                            workspaces);
-}
-
-std::vector<NetRouteResult> route_batch(const std::vector<Net>& nets,
-                                        const std::vector<std::uint64_t>& diag_seeds,
-                                        const Technology& tech,
-                                        const PipelineOptions& opts,
-                                        PipelineStats* stats,
-                                        std::vector<Workspace>* workspaces)
-{
-    if (diag_seeds.size() != nets.size())
-        throw std::invalid_argument("route_batch: diag_seeds size " +
-                                    std::to_string(diag_seeds.size()) +
-                                    " != nets size " + std::to_string(nets.size()));
-    return route_batch_impl(nets, 0, false, diag_seeds.data(), tech, opts,
-                            stats, workspaces);
-}
-
-std::vector<NetRouteResult> route_batch(std::uint64_t seed, int count, Coord grid,
-                                        int sink_count, const Technology& tech,
-                                        const PipelineOptions& opts,
-                                        PipelineStats* stats,
-                                        std::vector<Workspace>* workspaces)
-{
-    return route_batch_impl(random_nets(seed, count, grid, sink_count), seed,
-                            true, nullptr, tech, opts, stats, workspaces);
 }
 
 std::string format_results(const std::vector<NetRouteResult>& results)

@@ -2,10 +2,13 @@
 //   netgen -> A-tree topology -> optimal wiresizing -> delay report.
 //
 // route_batch() fans a batch of independent nets over a thread pool with
-// chunked dynamic scheduling (parallel_for_slots), one reusable Workspace
-// per worker slot.  Results are index-addressed, so serial and parallel
-// runs are byte-identical (compare with format_results); per-net work never
-// reads another net's state.
+// chunked dynamic scheduling (parallel_for_slots: ~8 pulls per worker,
+// chunks clamped to [1, 64] nets), one reusable Workspace per worker slot.
+// Results are index-addressed, so serial and parallel runs are
+// byte-identical (compare with format_results); per-net work never reads
+// another net's state.  It is the one batch entry point: generated designs
+// and netlists reach it through a NetSource (workload/stream.h), which
+// carries each net's diagnostic seed into the optional seed list.
 //
 // The per-net flow:
 //   0. validate_net            -- input front-end: canonicalizes duplicate /
@@ -24,9 +27,10 @@
 //                                 segment arrays derive from the stage-2
 //                                 compile (no second tree walk);
 //   5. moment cross-check      -- max sink Elmore (-m_1) of the wiresized
-//                                 RC tree (built from the same context)
-//                                 through the slot's MomentWorkspace
-//                                 (optional, see PipelineOptions).
+//                                 RC tree (built from the same context, 8
+//                                 RC sections per edge) through the slot's
+//                                 MomentWorkspace; runs whenever stage 4
+//                                 does.
 //
 // Each net's FlatTree is compiled into its slot arena exactly once (stage
 // 2); every downstream stage consumes that compile.  PipelineStats::
@@ -78,13 +82,7 @@ class RouteCache;  // session/route_cache.h
 struct PipelineOptions {
     int widths_r = 4;     ///< wiresizing width count (Table 6's r)
     int threads = 0;      ///< <= 0: default_thread_count()
-    /// Dynamic-scheduling chunk size; 0 sizes chunks adaptively (~8 pulls
-    /// per worker, clamped to [1, 64]) so cheap small batches do not pay one
-    /// atomic round-trip per net.
-    std::size_t chunk = 0;
-    bool wiresize = true; ///< run the grewsa_owsa stage
-    bool moment_check = true;  ///< run the wiresized moment cross-check
-    int rc_sections_per_edge = 8;  ///< RC discretization of the cross-check
+    bool wiresize = true; ///< run the grewsa_owsa stage (and its cross-check)
     /// Arena OOM guard: reject nets whose topology exceeds this many nodes
     /// (status failed, stage compile).  0 disables the cap.
     std::size_t max_nodes_per_net = 0;
@@ -272,32 +270,22 @@ struct PipelineStats {
 /// comment).  When `workspaces` is supplied its entries are reused (and it
 /// is grown to the slot count) so repeated batches stay allocation-free;
 /// each entry must not be in use by any other concurrent call.
+/// `diag_seeds` are the per-net diagnostic seeds recorded in each result's
+/// NetDiagnostic::net_seed: empty means every seed is 0, otherwise its size
+/// must equal nets.size() (std::invalid_argument otherwise).
 std::vector<NetRouteResult> route_batch(const std::vector<Net>& nets,
                                         const Technology& tech,
                                         const PipelineOptions& opts = {},
                                         PipelineStats* stats = nullptr,
-                                        std::vector<Workspace>* workspaces = nullptr);
+                                        std::vector<Workspace>* workspaces = nullptr,
+                                        const std::vector<std::uint64_t>& diag_seeds = {});
 
-/// Caller-supplied per-net diagnostic seeds (diag_seeds.size() must equal
-/// nets.size(); throws std::invalid_argument otherwise).  Each result's
-/// NetDiagnostic::net_seed is diag_seeds[i] -- the hook that lets streamed
-/// workload sources (workload/net_source.h) carry generator seeds through
-/// chunked routing exactly as the seeded front-end below records them.
-std::vector<NetRouteResult> route_batch(const std::vector<Net>& nets,
-                                        const std::vector<std::uint64_t>& diag_seeds,
-                                        const Technology& tech,
-                                        const PipelineOptions& opts = {},
-                                        PipelineStats* stats = nullptr,
-                                        std::vector<Workspace>* workspaces = nullptr);
-
-/// netgen front-end: generates `count` random nets (uniform terminals on
-/// [0, grid]^2, seeded deterministically) and routes them; each net's
-/// diagnostic carries net_seed(seed, index).
-std::vector<NetRouteResult> route_batch(std::uint64_t seed, int count, Coord grid,
-                                        int sink_count, const Technology& tech,
-                                        const PipelineOptions& opts = {},
-                                        PipelineStats* stats = nullptr,
-                                        std::vector<Workspace>* workspaces = nullptr);
+/// Recomputes the outcome tally of `stats` (nets_ok .. nets_failed and
+/// fault_events) from `results`, replacing the previous counts.  route_batch
+/// runs it after its barrier; the workload chunk loop re-runs it when it
+/// rewrites reader-rejected results (workload/stream.h).
+void tally_outcomes(const std::vector<NetRouteResult>& results,
+                    PipelineStats& stats);
 
 /// Routes one net through the exact per-net ladder route_batch runs
 /// (validate -> topology -> compile -> report -> wiresize -> moment check),

@@ -292,8 +292,7 @@ int run_batch(const CliOptions& opts, std::ostream& out,
     popts.admit_cap = opts.queue_cap;
 
     // Workload source selection: generated nets (diagnostics carry
-    // net_seed(seed, index), exactly like the seeded route_batch
-    // front-end), a cong93 netlist (malformed blocks surface as
+    // net_seed(seed, index)), a cong93 netlist (malformed blocks surface as
     // invalid_input results, never exceptions), or the legacy net list.
     std::optional<GeneratedNetSource> gen;
     std::optional<VectorNetSource> vec;

@@ -56,8 +56,6 @@ std::uint32_t RouteCache::config_of(const Technology& tech,
     c.tech = tech;
     c.widths_r = opts.widths_r;
     c.wiresize = opts.wiresize;
-    c.moment_check = opts.moment_check;
-    c.rc_sections_per_edge = opts.rc_sections_per_edge;
     c.max_nodes_per_net = opts.max_nodes_per_net;
     c.simd_isa = static_cast<int>(active_simd_config().isa);
 
@@ -65,8 +63,7 @@ std::uint32_t RouteCache::config_of(const Technology& tech,
     for (std::size_t i = 0; i < configs_.size(); ++i) {
         const Config& o = configs_[i];
         if (tech_equal(o.tech, c.tech) && o.widths_r == c.widths_r &&
-            o.wiresize == c.wiresize && o.moment_check == c.moment_check &&
-            o.rc_sections_per_edge == c.rc_sections_per_edge &&
+            o.wiresize == c.wiresize &&
             o.max_nodes_per_net == c.max_nodes_per_net &&
             o.simd_isa == c.simd_isa)
             return static_cast<std::uint32_t>(i);

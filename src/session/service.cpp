@@ -1,12 +1,10 @@
 #include "session/service.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "workload/net_source.h"
 #include "workload/stream.h"
 
 namespace cong93 {
@@ -68,17 +66,6 @@ SessionService::Slot& SessionService::slot(SessionId id)
     return *slots_[id];
 }
 
-void SessionService::count_batch(const PipelineStats& stats)
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    ++stats_.batches;
-    stats_.cache_hits += stats.cache_hits;
-    stats_.cache_shared += stats.cache_shared;
-    stats_.cache_evictions += stats.cache_evictions;
-    stats_.cache_shard_contention += stats.cache_shard_contention;
-    stats_.single_flight_parked += stats.single_flight_parked;
-}
-
 std::size_t SessionService::resident_bytes()
 {
     std::size_t n = cache_.resident_bytes();
@@ -117,60 +104,55 @@ void SessionService::enforce_budget()
     }
 }
 
+std::vector<NetId> SessionService::admit(SessionId id,
+                                         const std::vector<Net>& nets,
+                                         PipelineStats& stats,
+                                         const SourceChunk* chunk)
+{
+    Admission ticket(*this, "add_batch");
+    Slot& s = slot(id);
+    std::vector<NetId> ids;
+    {
+        std::lock_guard<std::mutex> lk(s.m);
+        ids = s.session.admit(nets, stats, chunk);
+    }
+    {
+        std::lock_guard<std::mutex> lk(mutex_);
+        ++stats_.batches;
+        stats_.cache_hits += stats.cache_hits;
+        stats_.cache_shared += stats.cache_shared;
+        stats_.cache_evictions += stats.cache_evictions;
+        stats_.cache_shard_contention += stats.cache_shard_contention;
+        stats_.single_flight_parked += stats.single_flight_parked;
+    }
+    enforce_budget();
+    return ids;
+}
+
 std::vector<NetId> SessionService::add_batch(SessionId id,
                                              const std::vector<Net>& nets,
                                              PipelineStats* stats)
 {
-    Admission ticket(*this, "add_batch");
-    Slot& s = slot(id);
     PipelineStats local;
-    PipelineStats& ps = stats != nullptr ? *stats : local;
-    std::vector<NetId> ids;
-    {
-        std::lock_guard<std::mutex> lk(s.m);
-        ids = s.session.add_batch(nets, &ps);
-    }
-    count_batch(ps);
-    enforce_budget();
-    return ids;
+    return admit(id, nets, stats != nullptr ? *stats : local, nullptr);
 }
 
 std::vector<NetId> SessionService::add_batch(SessionId id, NetSource& source,
                                              std::size_t chunk_nets,
                                              PipelineStats* stats)
 {
-    const std::size_t chunk = chunk_nets == 0
-                                  ? std::numeric_limits<std::size_t>::max()
-                                  : chunk_nets;
     std::vector<NetId> ids;
-    std::vector<WorkItem> items;
-    std::vector<Net> nets;
-    double total_builds = 0.0;
-    std::size_t total_nets = 0;
-    for (;;) {
-        items.clear();
-        if (source.pull(items, chunk) == 0) break;
-        nets.clear();
-        nets.reserve(items.size());
-        for (WorkItem& item : items) nets.push_back(std::move(item.net));
-        PipelineStats cs;
-        const std::vector<NetId> chunk_ids = add_batch(id, nets, &cs);
-        ids.insert(ids.end(), chunk_ids.begin(), chunk_ids.end());
-        if (stats != nullptr) {
-            accumulate_pipeline_stats(*stats, cs);
-            total_builds += cs.compiles_per_net * static_cast<double>(nets.size());
-            total_nets += nets.size();
-        }
-    }
-    if (stats != nullptr && total_nets > 0) {
-        stats->compiles_per_net = total_builds / static_cast<double>(total_nets);
-        if (stats->nets_routed > 0)
-            stats->compiles_per_routed_net =
-                total_builds / static_cast<double>(stats->nets_routed);
-        if (stats->seconds > 0.0)
-            stats->nets_per_sec =
-                static_cast<double>(total_nets) / stats->seconds;
-    }
+    StreamStats total;
+    route_source(
+        source, chunk_nets,
+        [&](const SourceChunk& chunk) {
+            PipelineStats cs;
+            const std::vector<NetId> chunk_ids = admit(id, chunk.nets, cs, &chunk);
+            ids.insert(ids.end(), chunk_ids.begin(), chunk_ids.end());
+            return cs;
+        },
+        total);
+    if (stats != nullptr) *stats = total.pipeline;
     return ids;
 }
 

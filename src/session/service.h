@@ -112,13 +112,15 @@ public:
     std::vector<NetId> add_batch(SessionId id, const std::vector<Net>& nets,
                                  PipelineStats* stats = nullptr);
 
-    /// Chunked admission from a workload source (0 = one chunk): each
+    /// Chunked admission from a workload source (0 = one chunk), pulled by
+    /// the workload chunk loop (workload/stream.h: route_source): each
     /// chunk takes its own admission ticket and session-slot acquisition
-    /// through the vector overload, so backpressure (queue_cap ->
+    /// exactly like the vector overload, so backpressure (queue_cap ->
     /// OverloadError) and the resident-bytes budget apply per chunk -- a
-    /// 100k-net design never needs a 100k-net admission window.  Chunks
-    /// admitted before a mid-stream refusal stay admitted; the
-    /// OverloadError propagates to the caller.
+    /// 100k-net design never needs a 100k-net admission window.  Results
+    /// match Session::add_batch(NetSource&), reader-rejected items
+    /// included.  Chunks admitted before a mid-stream refusal stay
+    /// admitted; the OverloadError propagates to the caller.
     std::vector<NetId> add_batch(SessionId id, NetSource& source,
                                  std::size_t chunk_nets = 0,
                                  PipelineStats* stats = nullptr);
@@ -156,7 +158,10 @@ private:
     };
 
     Slot& slot(SessionId id);
-    void count_batch(const PipelineStats& stats);
+    /// One batch request: admission ticket, session-slot lock,
+    /// Session::admit, then the batch counters and the memory budget.
+    std::vector<NetId> admit(SessionId id, const std::vector<Net>& nets,
+                             PipelineStats& stats, const SourceChunk* chunk);
 
     /// RAII admission ticket: the constructor takes the queue-cap decision
     /// under mutex_ (throwing OverloadError when full), the destructor

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -10,7 +9,6 @@
 #include "atree/atree.h"
 #include "rtree/validate.h"
 #include "wiresize/grewsa.h"
-#include "workload/net_source.h"
 #include "workload/stream.h"
 #include "wiresize/incremental.h"
 #include "wiresize/owsa.h"
@@ -358,15 +356,15 @@ NetId Session::add(Net net)
     return id;
 }
 
-std::vector<NetId> Session::add_batch(const std::vector<Net>& nets,
-                                      PipelineStats* stats)
+std::vector<NetId> Session::admit(const std::vector<Net>& nets,
+                                  PipelineStats& stats,
+                                  const SourceChunk* chunk)
 {
     PipelineOptions popts = opts_.pipeline;
     popts.faults = faults_;
     popts.cache = opts_.use_cache ? &cache() : nullptr;
-    PipelineStats local;
-    std::vector<NetRouteResult> results =
-        route_batch(nets, tech_, popts, stats != nullptr ? stats : &local);
+    std::vector<NetRouteResult> results = route_batch(nets, tech_, popts, &stats);
+    if (chunk != nullptr) chunk->settle(results, stats);
 
     std::vector<NetId> ids;
     ids.reserve(nets.size());
@@ -384,41 +382,28 @@ std::vector<NetId> Session::add_batch(const std::vector<Net>& nets,
     return ids;
 }
 
+std::vector<NetId> Session::add_batch(const std::vector<Net>& nets,
+                                      PipelineStats* stats)
+{
+    PipelineStats local;
+    return admit(nets, stats != nullptr ? *stats : local, nullptr);
+}
+
 std::vector<NetId> Session::add_batch(NetSource& source, std::size_t chunk_nets,
                                       PipelineStats* stats)
 {
-    const std::size_t chunk = chunk_nets == 0
-                                  ? std::numeric_limits<std::size_t>::max()
-                                  : chunk_nets;
     std::vector<NetId> ids;
-    std::vector<WorkItem> items;
-    std::vector<Net> nets;
-    double total_builds = 0.0;
-    std::size_t total_nets = 0;
-    for (;;) {
-        items.clear();
-        if (source.pull(items, chunk) == 0) break;
-        nets.clear();
-        nets.reserve(items.size());
-        for (WorkItem& item : items) nets.push_back(std::move(item.net));
-        PipelineStats cs;
-        const std::vector<NetId> chunk_ids = add_batch(nets, &cs);
-        ids.insert(ids.end(), chunk_ids.begin(), chunk_ids.end());
-        if (stats != nullptr) {
-            accumulate_pipeline_stats(*stats, cs);
-            total_builds += cs.compiles_per_net * static_cast<double>(nets.size());
-            total_nets += nets.size();
-        }
-    }
-    if (stats != nullptr && total_nets > 0) {
-        stats->compiles_per_net = total_builds / static_cast<double>(total_nets);
-        if (stats->nets_routed > 0)
-            stats->compiles_per_routed_net =
-                total_builds / static_cast<double>(stats->nets_routed);
-        if (stats->seconds > 0.0)
-            stats->nets_per_sec =
-                static_cast<double>(total_nets) / stats->seconds;
-    }
+    StreamStats total;
+    route_source(
+        source, chunk_nets,
+        [&](const SourceChunk& chunk) {
+            PipelineStats cs;
+            const std::vector<NetId> chunk_ids = admit(chunk.nets, cs, &chunk);
+            ids.insert(ids.end(), chunk_ids.begin(), chunk_ids.end());
+            return cs;
+        },
+        total);
+    if (stats != nullptr) *stats = total.pipeline;
     return ids;
 }
 

@@ -61,7 +61,8 @@
 
 namespace cong93 {
 
-class NetSource;  // workload/net_source.h
+class NetSource;     // workload/net_source.h
+struct SourceChunk;  // workload/stream.h
 
 /// Handle to a net owned by a Session (dense, 0-based admission order).
 using NetId = std::size_t;
@@ -125,9 +126,10 @@ struct EcoOutcome {
 
 struct SessionOptions {
     /// Pipeline knobs for every route this session performs.  `cache` is
-    /// ignored (the session supplies its own), `threads`/`chunk` apply to
-    /// add_batch only.  The fault plan resolves once, at construction
-    /// (explicit plan, else $CONG93_FAULT_INJECT).
+    /// ignored (the session supplies its own), `threads` and the lifecycle
+    /// knobs (deadline, cancel, admit_cap, memory budget) apply to add_batch
+    /// only.  The fault plan resolves once, at construction (explicit plan,
+    /// else $CONG93_FAULT_INJECT).
     PipelineOptions pipeline;
     /// Dirty-sink fraction (sinks in rebuilt quadrants / total sinks) above
     /// which apply() re-routes from scratch instead of repairing.  The
@@ -170,12 +172,16 @@ public:
                                  PipelineStats* stats = nullptr);
 
     /// Admits everything a workload source yields, pulled in
-    /// `chunk_nets`-item chunks through the vector overload (0 = one
-    /// chunk).  The session retains geometry only -- workload metadata is
-    /// a roll-up concern (report/chip_report.h), not repair state; items a
-    /// reader rejected admit as their cleared geometry and surface as
-    /// invalid_input results.  `stats` aggregates additive counters across
-    /// chunks with whole-stream compile ratios.
+    /// `chunk_nets`-item chunks (0 = one chunk) by the workload chunk loop
+    /// (workload/stream.h: route_source), each chunk admitted like the
+    /// vector overload.  The session retains geometry only -- workload
+    /// metadata is a roll-up concern (report/chip_report.h), not repair
+    /// state; items a reader rejected admit as their cleared geometry with
+    /// the same invalid_input result (parse message included) route_stream
+    /// reports.  Results carry net_seed 0 like every session admission.
+    /// `stats` receives the stream's aggregate: additive counters summed
+    /// across chunks, whole-stream compile ratios.  Exceptions from the
+    /// source propagate; chunks admitted before one stay admitted.
     std::vector<NetId> add_batch(NetSource& source, std::size_t chunk_nets = 0,
                                  PipelineStats* stats = nullptr);
 
@@ -210,6 +216,8 @@ public:
     std::size_t resident_bytes() const { return ws_.resident_bytes(); }
 
 private:
+    friend class SessionService;  // admits source chunks under its tickets
+
     /// Cached GREWSA fixpoint bounds of one stem, keyed by exact content.
     struct StemBounds {
         std::uint64_t hash = 0;
@@ -233,6 +241,11 @@ private:
 
     Entry& entry(NetId id);
     const Entry& entry(NetId id) const;
+    /// Batch admission: route_batch over `nets` with the session cache
+    /// attached, then one uncaptured entry per net.  When the nets are a
+    /// workload chunk, `chunk` settles its reader-rejected results first.
+    std::vector<NetId> admit(const std::vector<Net>& nets, PipelineStats& stats,
+                             const SourceChunk* chunk);
     PipelineOptions route_options(const Technology& tech) const;
     bool fault_would_fire(std::uint64_t request) const;
     /// Full route of e.net via route_single + eager state capture; used by

@@ -104,7 +104,7 @@ private:
 /// nets of random_nets(seed, count, grid, sink_count), in order, without
 /// ever materializing the whole design: the RNG state is carried across
 /// pulls.  Items are named "n<index>" and carry net_seed(seed, index) as
-/// the diagnostic seed, matching the seeded route_batch front-end.
+/// the diagnostic seed.
 class GeneratedNetSource : public NetSource {
 public:
     GeneratedNetSource(std::uint64_t seed, std::size_t count, Coord grid,

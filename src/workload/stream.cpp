@@ -9,39 +9,11 @@
 namespace cong93 {
 namespace {
 
-/// Recomputes a chunk's outcome tally from its (possibly rewritten)
-/// results; mirrors route_batch's own serial post-barrier reduction.
-void tally_outcomes(const std::vector<NetRouteResult>& results, PipelineStats& stats)
-{
-    stats.nets_ok = 0;
-    stats.nets_fallback = 0;
-    stats.nets_uniform_width = 0;
-    stats.nets_deadline_degraded = 0;
-    stats.nets_invalid = 0;
-    stats.nets_cancelled = 0;
-    stats.nets_rejected = 0;
-    stats.nets_failed = 0;
-    stats.fault_events = 0;
-    for (const NetRouteResult& r : results) {
-        switch (r.status) {
-        case RouteStatus::ok: ++stats.nets_ok; break;
-        case RouteStatus::fallback_brbc:
-        case RouteStatus::fallback_spt: ++stats.nets_fallback; break;
-        case RouteStatus::uniform_width: ++stats.nets_uniform_width; break;
-        case RouteStatus::deadline_degraded:
-            ++stats.nets_deadline_degraded;
-            break;
-        case RouteStatus::invalid_input: ++stats.nets_invalid; break;
-        case RouteStatus::cancelled: ++stats.nets_cancelled; break;
-        case RouteStatus::rejected_overload: ++stats.nets_rejected; break;
-        case RouteStatus::failed: ++stats.nets_failed; break;
-        }
-        stats.fault_events += r.diag.events.size();
-    }
-}
-
-}  // namespace
-
+/// Folds one chunk's route_batch stats into the running aggregate: additive
+/// fields (seconds, outcome tallies, cache traffic, telemetry) are summed,
+/// high-water fields (threads) maxed, point-in-time fields (workspace
+/// counters, cache resident_bytes) replaced.  The ratio fields are per-call
+/// quotients; route_source recomputes them over the whole stream.
 void accumulate_pipeline_stats(PipelineStats& total, const PipelineStats& chunk)
 {
     total.threads = std::max(total.threads, chunk.threads);
@@ -68,96 +40,100 @@ void accumulate_pipeline_stats(PipelineStats& total, const PipelineStats& chunk)
     total.deadline_wall_degraded += chunk.deadline_wall_degraded;
 }
 
+}  // namespace
+
+void SourceChunk::settle(std::vector<NetRouteResult>& results,
+                         PipelineStats& stats) const
+{
+    // Index-addressed rewrite after the barrier: deterministic at any
+    // thread count, and malformed nets surface as invalid_input
+    // diagnostics, never as exceptions.
+    bool rewrote = false;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        const std::string& error = items[i].meta.parse_error;
+        if (error.empty()) continue;
+        NetRouteResult r;
+        r.status = RouteStatus::invalid_input;
+        r.diag.net_index = results[i].diag.net_index;
+        r.diag.net_seed = results[i].diag.net_seed;
+        r.diag.note(RouteStage::validate, "netlist: " + error);
+        results[i] = std::move(r);
+        rewrote = true;
+    }
+    if (rewrote) tally_outcomes(results, stats);
+}
+
+void route_source(NetSource& source, std::size_t chunk_nets,
+                  const ChunkRouter& route, StreamStats& stats)
+{
+    const std::size_t max_items = chunk_nets == 0
+                                      ? std::numeric_limits<std::size_t>::max()
+                                      : chunk_nets;
+    // One set of chunk buffers for the whole stream.
+    SourceChunk chunk;
+    // Whole-stream compile accounting (the ratios are per-chunk in
+    // PipelineStats).
+    double total_builds = 0.0;
+    for (;;) {
+        chunk.items.clear();
+        if (source.pull(chunk.items, max_items) == 0) break;
+        chunk.nets.clear();
+        chunk.seeds.clear();
+        for (const WorkItem& item : chunk.items) {
+            chunk.nets.push_back(item.net);
+            chunk.seeds.push_back(item.meta.diag_seed);
+        }
+
+        const PipelineStats cs = route(chunk);
+
+        PipelineStats& total = stats.pipeline;
+        accumulate_pipeline_stats(total, cs);
+        const std::size_t n = chunk.items.size();
+        total_builds += cs.compiles_per_net * static_cast<double>(n);
+        ++stats.chunks;
+        stats.nets += n;
+        stats.peak_chunk_nets = std::max(stats.peak_chunk_nets, n);
+        chunk.first_index += n;
+
+        total.compiles_per_net = total_builds / static_cast<double>(stats.nets);
+        if (total.nets_routed > 0)
+            total.compiles_per_routed_net =
+                total_builds / static_cast<double>(total.nets_routed);
+        stats.seconds = total.seconds;
+        if (stats.seconds > 0.0)
+            stats.nets_per_sec = static_cast<double>(stats.nets) / stats.seconds;
+        total.nets_per_sec = stats.nets_per_sec;
+    }
+}
+
 StreamStats route_stream(NetSource& source, const Technology& tech,
                          const PipelineOptions& opts,
                          const StreamOptions& stream_opts,
                          const StreamVisitor& visit)
 {
     StreamStats stats;
-    const std::size_t chunk = stream_opts.chunk_nets == 0
-                                  ? std::numeric_limits<std::size_t>::max()
-                                  : stream_opts.chunk_nets;
-
-    // One set of buffers and per-slot workspaces for the whole stream: the
-    // bounded-memory property is exactly their chunk-sized high-water mark.
+    // One set of per-slot workspaces and result buffers for the whole
+    // stream: the bounded-memory property is exactly their chunk-sized
+    // high-water mark.
     std::vector<Workspace> workspaces;
-    std::vector<WorkItem> items;
-    std::vector<Net> nets;
-    std::vector<std::uint64_t> seeds;
     std::vector<NetRouteResult> results;
-
-    // Whole-stream compile accounting (ratios are per-chunk in
-    // PipelineStats; recompute them over all chunks at the end).
-    double total_builds = 0.0;
-    std::size_t first_index = 0;
-
-    for (;;) {
-        items.clear();
-        std::size_t pulled = 0;
-        try {
-            pulled = source.pull(items, chunk);
-        } catch (const std::exception& e) {
-            stats.source_error = std::string("pull: ") + e.what();
-            break;
-        }
-        if (pulled == 0) break;
-
-        nets.clear();
-        seeds.clear();
-        nets.reserve(items.size());
-        seeds.reserve(items.size());
-        for (const WorkItem& item : items) {
-            nets.push_back(item.net);
-            seeds.push_back(item.meta.diag_seed);
-        }
-
-        PipelineStats cs;
-        try {
-            results = route_batch(nets, seeds, tech, opts, &cs, &workspaces);
-        } catch (const std::exception& e) {
-            stats.source_error = std::string("route_batch: ") + e.what();
-            break;
-        }
-
-        // Reader-rejected items: overwrite in place (index-addressed, after
-        // the barrier -- deterministic at any thread count) so malformed
-        // nets surface as invalid_input diagnostics, never as exceptions.
-        bool rewrote = false;
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            const NetMeta& meta = items[i].meta;
-            if (meta.parse_error.empty()) continue;
-            NetRouteResult r;
-            r.status = RouteStatus::invalid_input;
-            r.diag.net_index = i;
-            r.diag.net_seed = meta.diag_seed;
-            r.diag.note(RouteStage::validate, "netlist: " + meta.parse_error);
-            results[i] = std::move(r);
-            rewrote = true;
-        }
-        if (rewrote) tally_outcomes(results, cs);
-
-        accumulate_pipeline_stats(stats.pipeline, cs);
-        total_builds += cs.compiles_per_net * static_cast<double>(nets.size());
-
-        ++stats.chunks;
-        stats.nets += items.size();
-        stats.peak_chunk_nets = std::max(stats.peak_chunk_nets, items.size());
-
-        if (visit) visit(first_index, items, results);
-        first_index += items.size();
+    const char* stage = "pull: ";
+    try {
+        route_source(source, stream_opts.chunk_nets,
+                     [&](const SourceChunk& chunk) {
+                         stage = "route_batch: ";
+                         PipelineStats cs;
+                         results = route_batch(chunk.nets, tech, opts, &cs,
+                                               &workspaces, chunk.seeds);
+                         chunk.settle(results, cs);
+                         if (visit) visit(chunk.first_index, chunk.items, results);
+                         stage = "pull: ";
+                         return cs;
+                     },
+                     stats);
+    } catch (const std::exception& e) {
+        stats.source_error = std::string(stage) + e.what();
     }
-
-    if (stats.nets > 0) {
-        stats.pipeline.compiles_per_net =
-            total_builds / static_cast<double>(stats.nets);
-        if (stats.pipeline.nets_routed > 0)
-            stats.pipeline.compiles_per_routed_net =
-                total_builds / static_cast<double>(stats.pipeline.nets_routed);
-    }
-    stats.seconds = stats.pipeline.seconds;
-    if (stats.seconds > 0.0)
-        stats.nets_per_sec = static_cast<double>(stats.nets) / stats.seconds;
-    stats.pipeline.nets_per_sec = stats.nets_per_sec;
     for (const Workspace& w : workspaces)
         stats.workspace_resident_bytes += w.resident_bytes();
     return stats;

@@ -22,12 +22,15 @@
 //
 // Error policy: nothing escapes.  Items carrying a reader parse error are
 // reported as RouteStatus::invalid_input with the parse message in their
-// diagnostic; a source whose pull() throws stops the stream cleanly with
-// the message in StreamStats::source_error.
+// diagnostic; a source whose pull() throws, or a chunk whose routing or
+// visitor throws, stops the stream cleanly with the message in
+// StreamStats::source_error.
+
 #ifndef CONG93_WORKLOAD_STREAM_H
 #define CONG93_WORKLOAD_STREAM_H
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -54,9 +57,10 @@ struct StreamStats {
     /// finished -- the streaming memory footprint (chunk-bounded, by
     /// construction independent of how many chunks flowed through).
     std::size_t workspace_resident_bytes = 0;
-    /// Non-empty when the source's pull() (or a whole-batch failure) threw:
-    /// the stream stopped after the last complete chunk and this carries
-    /// the exception text.  route_stream itself never throws on this path.
+    /// Non-empty when the source's pull() (or a chunk's route_batch or
+    /// visitor) threw: the stream stopped after the last complete chunk and
+    /// this carries the exception text.  route_stream itself never throws
+    /// on this path.
     std::string source_error;
     /// Pipeline counters aggregated across chunks: additive fields (times,
     /// outcome tallies, cache hits/misses/shared/evictions) are summed;
@@ -75,20 +79,42 @@ using StreamVisitor = std::function<void(
 
 /// Routes everything `source` yields.  Request-scoped PipelineOptions
 /// controls (deadline, cancel, admit_cap, memory budget, cache, pool)
-/// apply per chunk, as documented above.
+/// apply per chunk, as documented above.  Each result carries its item's
+/// diagnostic seed.
 StreamStats route_stream(NetSource& source, const Technology& tech,
                          const PipelineOptions& opts = {},
                          const StreamOptions& stream_opts = {},
                          const StreamVisitor& visit = {});
 
-/// Folds one route_batch call's stats into a running cross-chunk aggregate:
-/// additive fields (seconds, outcome tallies, cache traffic, telemetry) are
-/// summed, high-water fields (threads) maxed, point-in-time fields
-/// (workspace counters, cache resident_bytes) replaced.  The ratio fields
-/// (nets_per_sec, compiles_per_*) are NOT maintained -- they are per-call
-/// quotients; callers recompute them over the whole stream as route_stream
-/// and the chunked session admission paths do.
-void accumulate_pipeline_stats(PipelineStats& total, const PipelineStats& chunk);
+/// One pulled chunk, as route_source hands it to a ChunkRouter.
+struct SourceChunk {
+    std::size_t first_index = 0;       ///< stream-global index of items[0]
+    std::vector<WorkItem> items;
+    std::vector<Net> nets;             ///< items' geometry, parallel to items
+    std::vector<std::uint64_t> seeds;  ///< items' diagnostic seeds
+
+    /// Rewrites the result of every reader-rejected item (non-empty
+    /// meta.parse_error) to invalid_input with the parse message as its
+    /// validate diagnostic, keeping the net index and seed route_batch
+    /// recorded, and re-tallies `stats` when anything changed.  `results`
+    /// are this chunk's route_batch results, parallel to items.
+    void settle(std::vector<NetRouteResult>& results, PipelineStats& stats) const;
+};
+
+/// Routes one chunk: route_batch over chunk.nets (with chunk.seeds when the
+/// caller reports generator seeds), then chunk.settle() on the results
+/// before anything consumes them.  Returns the chunk's PipelineStats.
+using ChunkRouter = std::function<PipelineStats(const SourceChunk& chunk)>;
+
+/// The NetSource chunk loop behind route_stream and the Session /
+/// SessionService source admissions: pulls `source` in `chunk_nets`-item
+/// chunks (0 = the whole source as one chunk), hands each to `route`, and
+/// folds the returned stats into `stats` -- additive fields summed,
+/// point-in-time fields replaced, compile ratios and throughput recomputed
+/// over every chunk so far.  Exceptions from pull() or `route` propagate;
+/// `stats` then covers the chunks that completed.
+void route_source(NetSource& source, std::size_t chunk_nets,
+                  const ChunkRouter& route, StreamStats& stats);
 
 }  // namespace cong93
 

@@ -20,6 +20,7 @@
 #include "batch/lifecycle.h"
 #include "batch/pipeline.h"
 #include "tech/technology.h"
+#include "generated_batch.h"
 
 namespace {
 
@@ -112,8 +113,8 @@ TEST(FaultLadder, TopologyFaultFallsBackToBrbc)
 {
     const Technology tech = mcm_technology();
     PipelineStats stats;
-    const auto results = route_batch(1, 5, 1000, 5, tech,
-                                     fault_opts("seed=2,topology=1.0"), &stats);
+    const auto results = route_generated(1, 5, 1000, 5, tech,
+                                         fault_opts("seed=2,topology=1.0"), &stats);
     ASSERT_EQ(results.size(), 5u);
     for (const NetRouteResult& r : results) {
         EXPECT_EQ(r.status, RouteStatus::fallback_brbc);
@@ -131,7 +132,7 @@ TEST(FaultLadder, TopologyFaultFallsBackToBrbc)
 
 TEST(FaultLadder, TopologyAndFallbackFaultsFallBackToSpt)
 {
-    const auto results = route_batch(
+    const auto results = route_generated(
         1, 4, 1000, 5, mcm_technology(),
         fault_opts("seed=2,topology=1.0,fallback=1.0"));
     for (const NetRouteResult& r : results) {
@@ -145,8 +146,8 @@ TEST(FaultLadder, TopologyAndFallbackFaultsFallBackToSpt)
 
 TEST(FaultLadder, WiresizeFaultDemotesToUniformWidth)
 {
-    const auto results = route_batch(1, 4, 1000, 5, mcm_technology(),
-                                     fault_opts("seed=2,wiresize=1.0"));
+    const auto results = route_generated(1, 4, 1000, 5, mcm_technology(),
+                                         fault_opts("seed=2,wiresize=1.0"));
     for (const NetRouteResult& r : results) {
         EXPECT_EQ(r.status, RouteStatus::uniform_width);
         ASSERT_EQ(r.diag.events.size(), 1u);
@@ -161,8 +162,8 @@ TEST(FaultLadder, WiresizeFaultDemotesToUniformWidth)
 
 TEST(FaultLadder, MomentFaultDemotesToUniformWidthAndClearsWiresizing)
 {
-    const auto results = route_batch(1, 4, 1000, 5, mcm_technology(),
-                                     fault_opts("seed=2,moment=1.0"));
+    const auto results = route_generated(1, 4, 1000, 5, mcm_technology(),
+                                         fault_opts("seed=2,moment=1.0"));
     for (const NetRouteResult& r : results) {
         EXPECT_EQ(r.status, RouteStatus::uniform_width);
         ASSERT_EQ(r.diag.events.size(), 1u);
@@ -173,23 +174,11 @@ TEST(FaultLadder, MomentFaultDemotesToUniformWidthAndClearsWiresizing)
     }
 }
 
-TEST(FaultLadder, MomentFaultIsMootWhenCheckDisabled)
-{
-    PipelineOptions opts = fault_opts("seed=2,moment=1.0");
-    opts.moment_check = false;
-    const auto results = route_batch(1, 3, 1000, 5, mcm_technology(), opts);
-    for (const NetRouteResult& r : results) {
-        EXPECT_EQ(r.status, RouteStatus::ok);
-        EXPECT_TRUE(r.diag.empty());
-        EXPECT_GT(r.wiresized_delay_s, 0.0);
-    }
-}
-
 TEST(FaultLadder, NanTechnologyIsCaughtByTheReportGuard)
 {
     PipelineStats stats;
-    const auto results = route_batch(1, 4, 1000, 5, mcm_technology(),
-                                     fault_opts("seed=2,nan=1.0"), &stats);
+    const auto results = route_generated(1, 4, 1000, 5, mcm_technology(),
+                                         fault_opts("seed=2,nan=1.0"), &stats);
     for (const NetRouteResult& r : results) {
         EXPECT_EQ(r.status, RouteStatus::failed);
         ASSERT_EQ(r.diag.events.size(), 1u);
@@ -206,8 +195,8 @@ TEST(FaultLadder, NanTechnologyIsCaughtByTheReportGuard)
 TEST(FaultLadder, InjectedArenaCapFailsAtCompile)
 {
     PipelineStats stats;
-    const auto results = route_batch(1, 4, 1000, 5, mcm_technology(),
-                                     fault_opts("seed=2,arena-cap=3@1.0"), &stats);
+    const auto results = route_generated(1, 4, 1000, 5, mcm_technology(),
+                                         fault_opts("seed=2,arena-cap=3@1.0"), &stats);
     for (const NetRouteResult& r : results) {
         EXPECT_EQ(r.status, RouteStatus::failed);
         ASSERT_EQ(r.diag.events.size(), 1u);
@@ -225,7 +214,7 @@ TEST(FaultLadder, RealNodeCapGuardsTheArena)
     opts.max_nodes_per_net = 2;  // every 5-sink topology exceeds this
     PipelineStats stats;
     const auto results =
-        route_batch(1, 3, 1000, 5, mcm_technology(), opts, &stats);
+        route_generated(1, 3, 1000, 5, mcm_technology(), opts, &stats);
     for (const NetRouteResult& r : results) {
         EXPECT_EQ(r.status, RouteStatus::failed);
         ASSERT_EQ(r.diag.events.size(), 1u);
@@ -239,11 +228,11 @@ TEST(FaultLadder, EnvironmentGateInjectsWhenOptionsAreSilent)
     ASSERT_EQ(setenv("CONG93_FAULT_INJECT", "seed=2,topology=1.0", 1), 0);
     PipelineOptions opts;
     opts.threads = 1;
-    auto results = route_batch(1, 3, 1000, 5, mcm_technology(), opts);
+    auto results = route_generated(1, 3, 1000, 5, mcm_technology(), opts);
     for (const NetRouteResult& r : results)
         EXPECT_EQ(r.status, RouteStatus::fallback_brbc);
     ASSERT_EQ(unsetenv("CONG93_FAULT_INJECT"), 0);
-    results = route_batch(1, 3, 1000, 5, mcm_technology(), opts);
+    results = route_generated(1, 3, 1000, 5, mcm_technology(), opts);
     for (const NetRouteResult& r : results)
         EXPECT_EQ(r.status, RouteStatus::ok);
 }
@@ -305,8 +294,8 @@ const char* kSoakSpec =
 TEST(FaultIsolation, BatchWithFaultsAtEveryStageCompletes)
 {
     PipelineStats stats;
-    const auto results = route_batch(3, 32, 2000, 6, mcm_technology(),
-                                     fault_opts(kSoakSpec), &stats);
+    const auto results = route_generated(3, 32, 2000, 6, mcm_technology(),
+                                         fault_opts(kSoakSpec), &stats);
     ASSERT_EQ(results.size(), 32u);
     EXPECT_EQ(stats.nets_ok + stats.nets_fallback + stats.nets_uniform_width +
                   stats.nets_invalid + stats.nets_failed,
@@ -325,9 +314,9 @@ TEST(FaultIsolation, GoodNetsAreBitIdenticalToAFaultFreeRun)
 {
     PipelineOptions clean;
     clean.threads = 1;
-    const auto baseline = route_batch(3, 16, 2000, 6, mcm_technology(), clean);
+    const auto baseline = route_generated(3, 16, 2000, 6, mcm_technology(), clean);
     const auto faulted =
-        route_batch(3, 16, 2000, 6, mcm_technology(), fault_opts(kSoakSpec));
+        route_generated(3, 16, 2000, 6, mcm_technology(), fault_opts(kSoakSpec));
     ASSERT_EQ(baseline.size(), faulted.size());
     std::size_t untouched = 0;
     for (std::size_t i = 0; i < faulted.size(); ++i) {
@@ -345,10 +334,10 @@ TEST(FaultIsolation, GoodNetsAreBitIdenticalToAFaultFreeRun)
 TEST(FaultIsolation, SerialAndParallelRunsAreByteIdenticalUnderFaults)
 {
     PipelineStats s1, s4;
-    const auto serial = route_batch(3, 24, 2000, 6, mcm_technology(),
-                                    fault_opts(kSoakSpec, 1), &s1);
-    const auto parallel = route_batch(3, 24, 2000, 6, mcm_technology(),
-                                      fault_opts(kSoakSpec, 4), &s4);
+    const auto serial = route_generated(3, 24, 2000, 6, mcm_technology(),
+                                        fault_opts(kSoakSpec, 1), &s1);
+    const auto parallel = route_generated(3, 24, 2000, 6, mcm_technology(),
+                                          fault_opts(kSoakSpec, 4), &s4);
     EXPECT_EQ(s1.threads, 1);
     EXPECT_EQ(s4.threads, 4);
     EXPECT_EQ(format_results(serial), format_results(parallel));

@@ -33,6 +33,7 @@
 #include "wiresize/assignment.h"
 #include "wiresize/combined.h"
 #include "wiresize/delay_eval.h"
+#include "generated_batch.h"
 
 namespace cong93 {
 namespace {
@@ -248,12 +249,12 @@ TEST(FlatIr, PipelineCompilesEachNetExactlyOnce)
     PipelineOptions opts;
     opts.threads = 1;
     PipelineStats serial;
-    const auto r1 = route_batch(97, 24, kMcmGrid, 9, tech, opts, &serial);
+    const auto r1 = route_generated(97, 24, kMcmGrid, 9, tech, opts, &serial);
     EXPECT_EQ(serial.compiles_per_net, 1.0);
 
     opts.threads = 4;
     PipelineStats threaded;
-    const auto r4 = route_batch(97, 24, kMcmGrid, 9, tech, opts, &threaded);
+    const auto r4 = route_generated(97, 24, kMcmGrid, 9, tech, opts, &threaded);
     EXPECT_EQ(threaded.compiles_per_net, 1.0);
 
     // Still byte-identical across thread counts with the shared compile.
@@ -270,8 +271,8 @@ TEST(FlatIr, PipelineCompileCounterIsPerBatchDelta)
     std::vector<Workspace> ws;
     for (int round = 0; round < 3; ++round) {
         PipelineStats stats;
-        route_batch(500 + static_cast<std::uint64_t>(round), 10, kMcmGrid, 7,
-                    tech, opts, &stats, &ws);
+        route_generated(500 + static_cast<std::uint64_t>(round), 10, kMcmGrid, 7,
+                        tech, opts, &stats, &ws);
         EXPECT_EQ(stats.compiles_per_net, 1.0) << "round " << round;
     }
 }

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -337,20 +338,26 @@ TEST(LifecycleService, QueueCapRejectsOverlappingRequests)
         const SessionId a = svc.open();
         const SessionId b = svc.open();
         std::atomic<bool> started{false};
+        std::exception_ptr long_err;
         std::thread long_req([&] {
             started.store(true);
             // The tiny requests below may win the only queue slot first; an
-            // OverloadError escaping this thread would terminate the test
-            // binary, so the long request retries its own rejections.  They
+            // exception escaping this thread would terminate the test
+            // binary, so the long request retries its own rejections (they
             // do not count towards saw_rejection, which only the second
-            // session's requests can set.
-            for (;;) {
-                try {
-                    svc.add_batch(a, big);
-                    return;
-                } catch (const OverloadError&) {
-                    std::this_thread::yield();
+            // session's requests can set) and hands anything else to the
+            // main thread.
+            try {
+                for (;;) {
+                    try {
+                        svc.add_batch(a, big);
+                        return;
+                    } catch (const OverloadError&) {
+                        std::this_thread::yield();
+                    }
                 }
+            } catch (...) {
+                long_err = std::current_exception();
             }
         });
         while (!started.load()) std::this_thread::yield();
@@ -366,7 +373,10 @@ TEST(LifecycleService, QueueCapRejectsOverlappingRequests)
             }
         }
         long_req.join();
-        if (saw_rejection) EXPECT_GT(svc.stats().rejected_overload, 0u);
+        if (long_err) std::rethrow_exception(long_err);
+        if (saw_rejection) {
+            EXPECT_GT(svc.stats().rejected_overload, 0u);
+        }
     }
     EXPECT_TRUE(saw_rejection);
 }

@@ -26,6 +26,7 @@
 #include "tech/technology.h"
 #include "wiresize/combined.h"
 #include "wiresize/grewsa.h"
+#include "generated_batch.h"
 
 namespace cong93 {
 namespace {
@@ -281,22 +282,23 @@ TEST(ThreadPool, ChunkedSlotsCoverEveryIndexOnce)
 
 TEST(Pipeline, ParallelByteIdenticalToSerial)
 {
+    // The adaptive scheduling chunk is clamp(n / (threads * 8), 1, 64): the
+    // 10-net batch runs at chunk 1 on 2 and 4 threads, the 96-net batch at
+    // chunk 6 and 3.
     const Technology tech = mcm_technology();
-    const auto nets = random_nets(31, 10, kMcmGrid, 9);
+    for (const int count : {10, 96}) {
+        const auto nets = random_nets(31, count, kMcmGrid, 9);
+        PipelineOptions serial;
+        serial.threads = 1;
+        const auto base = format_results(route_batch(nets, tech, serial));
+        EXPECT_FALSE(base.empty());
 
-    PipelineOptions serial;
-    serial.threads = 1;
-    const auto base = format_results(route_batch(nets, tech, serial));
-    EXPECT_FALSE(base.empty());
-
-    for (const int threads : {2, 4}) {
-        for (const std::size_t chunk : {1u, 3u}) {
+        for (const int threads : {2, 4}) {
             PipelineOptions par;
             par.threads = threads;
-            par.chunk = chunk;
             PipelineStats stats;
             const auto out = format_results(route_batch(nets, tech, par, &stats));
-            EXPECT_EQ(out, base) << "threads=" << threads << " chunk=" << chunk;
+            EXPECT_EQ(out, base) << "threads=" << threads << " nets=" << count;
             EXPECT_EQ(stats.threads, threads);
             EXPECT_GT(stats.nets_per_sec, 0.0);
         }
@@ -344,7 +346,7 @@ TEST(Pipeline, ReportsConsistentDelays)
 {
     const Technology tech = mcm_technology();
     PipelineStats stats;
-    const auto results = route_batch(41, 5, kMcmGrid, 8, tech, {}, &stats);
+    const auto results = route_generated(41, 5, kMcmGrid, 8, tech, {}, &stats);
     ASSERT_EQ(results.size(), 5u);
     for (const NetRouteResult& r : results) {
         EXPECT_GT(r.nodes, 8u);
@@ -390,7 +392,7 @@ void expect_golden(const GoldenCase (&cases)[3])
     const Technology tech = mcm_technology();
     for (const GoldenCase& c : cases) {
         const std::string bytes = format_results(
-            route_batch(c.seed, c.count, kMcmGrid, c.sinks, tech));
+            route_generated(c.seed, c.count, kMcmGrid, c.sinks, tech));
         EXPECT_EQ(fnv1a(bytes), c.digest)
             << "seed " << c.seed << ", " << c.count << " nets of " << c.sinks
             << " sinks";
@@ -430,7 +432,7 @@ TEST(Pipeline, EmptyAndDegenerateBatches)
     EXPECT_TRUE(route_batch(std::vector<Net>{}, tech).empty());
 
     // Single-sink nets exercise the smallest trees end to end.
-    const auto results = route_batch(43, 3, kMcmGrid, 1, tech);
+    const auto results = route_generated(43, 3, kMcmGrid, 1, tech);
     ASSERT_EQ(results.size(), 3u);
     for (const NetRouteResult& r : results) EXPECT_GT(r.wiresized_delay_s, 0.0);
 }

@@ -234,25 +234,25 @@ TEST(PipelineCache, CacheOnByteIdenticalToCacheOff)
 
 TEST(PipelineCache, ParallelByteIdenticalToSerialWithCache)
 {
+    // The adaptive scheduling chunk is clamp(n / (threads * 8), 1, 64): on
+    // 4 threads the 20-net batch runs at chunk 1, the 96-net batch at 3.
     const Technology tech = mcm_technology();
-    const auto nets = nets_with_duplicates(52, 10, 10);
+    for (const int base_nets : {10, 48}) {
+        const auto nets = nets_with_duplicates(52, base_nets, base_nets);
+        PipelineOptions off;
+        off.threads = 1;
+        const auto base = format_results(route_batch(nets, tech, off));
 
-    PipelineOptions off;
-    off.threads = 1;
-    const auto base = format_results(route_batch(nets, tech, off));
-
-    for (const int threads : {1, 4}) {
-        for (const std::size_t chunk : {1u, 3u}) {
+        for (const int threads : {1, 4}) {
             RouteCache cache;
             PipelineOptions on;
             on.threads = threads;
-            on.chunk = chunk;
             on.cache = &cache;
             EXPECT_EQ(format_results(route_batch(nets, tech, on)), base)
-                << "threads=" << threads << " chunk=" << chunk;
+                << "threads=" << threads << " nets=" << nets.size();
             // Warm-cache rerun at the same thread count.
             EXPECT_EQ(format_results(route_batch(nets, tech, on)), base)
-                << "warm threads=" << threads << " chunk=" << chunk;
+                << "warm threads=" << threads << " nets=" << nets.size();
         }
     }
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -147,20 +148,26 @@ TEST(ShardedCache, ConcurrentBatchesShareOnePoolAndCache)
     RouteCache cache(0, 16);
     ThreadPool pool(4);
     std::string got_a, got_b;
-    std::thread ta([&] {
-        PipelineOptions o;
-        o.cache = &cache;
-        o.pool = &pool;
-        got_a = format_results(route_batch(a, tech, o));
-    });
-    std::thread tb([&] {
-        PipelineOptions o;
-        o.cache = &cache;
-        o.pool = &pool;
-        got_b = format_results(route_batch(b, tech, o));
-    });
+    // An exception escaping a std::thread body would std::terminate the
+    // suite; capture it and rethrow after join() so it fails this test only.
+    std::exception_ptr err_a, err_b;
+    const auto route_into = [&](const std::vector<Net>& nets, std::string& got,
+                                std::exception_ptr& err) {
+        try {
+            PipelineOptions o;
+            o.cache = &cache;
+            o.pool = &pool;
+            got = format_results(route_batch(nets, tech, o));
+        } catch (...) {
+            err = std::current_exception();
+        }
+    };
+    std::thread ta([&] { route_into(a, got_a, err_a); });
+    std::thread tb([&] { route_into(b, got_b, err_b); });
     ta.join();
     tb.join();
+    if (err_a) std::rethrow_exception(err_a);
+    if (err_b) std::rethrow_exception(err_b);
     EXPECT_EQ(got_a, want_a);
     EXPECT_EQ(got_b, want_b);
 }
@@ -394,23 +401,31 @@ TEST(SessionService, ConcurrentSoakMatchesSerialSingleSessionReplay)
     sopts.threads = 4;
     SessionService svc(tech, sopts);
     std::array<std::string, 2> got;
+    std::array<std::exception_ptr, 2> errors;
     std::array<std::thread, 2> clients;
     for (std::size_t s = 0; s < seeds.size(); ++s) {
         clients[s] = std::thread([&, s] {
-            const SessionId sid = svc.open();
-            got[s] = run_script(
-                seeds[s],
-                [&](const std::vector<Net>& nets, std::string& t) {
-                    const std::vector<NetId> ids = svc.add_batch(sid, nets);
-                    for (const NetId id : ids) t += fmt1(svc.result(sid, id));
-                    return ids;
-                },
-                [&](NetId id, const EcoDelta& d, std::string& t) {
-                    t += fmt1(svc.apply(sid, id, d).result);
-                });
+            try {
+                const SessionId sid = svc.open();
+                got[s] = run_script(
+                    seeds[s],
+                    [&](const std::vector<Net>& nets, std::string& t) {
+                        const std::vector<NetId> ids = svc.add_batch(sid, nets);
+                        for (const NetId id : ids)
+                            t += fmt1(svc.result(sid, id));
+                        return ids;
+                    },
+                    [&](NetId id, const EcoDelta& d, std::string& t) {
+                        t += fmt1(svc.apply(sid, id, d).result);
+                    });
+            } catch (...) {
+                errors[s] = std::current_exception();
+            }
         });
     }
     for (std::thread& c : clients) c.join();
+    for (const std::exception_ptr& e : errors)
+        if (e) std::rethrow_exception(e);
     EXPECT_EQ(got[0], want[0]);
     EXPECT_EQ(got[1], want[1]);
     EXPECT_EQ(svc.stats().batches, 4u);

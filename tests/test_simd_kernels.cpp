@@ -30,6 +30,7 @@
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
 #include "tech/technology.h"
+#include "generated_batch.h"
 
 namespace cong93 {
 namespace {
@@ -415,10 +416,10 @@ TEST(SimdBatched, PipelineResultsIdenticalAcrossBatchingBoundary)
     opts.threads = 1;
 
     ScopedSimdMode pin(SimdMode::scalar);
-    const auto seed = route_batch(42, 24, kMcmGrid, 6, tech, opts);
+    const auto seed = route_generated(42, 24, kMcmGrid, 6, tech, opts);
     {
         ScopedSimdMode relaxed_pin(SimdMode::auto_detect);
-        const auto relaxed = route_batch(42, 24, kMcmGrid, 6, tech, opts);
+        const auto relaxed = route_generated(42, 24, kMcmGrid, 6, tech, opts);
         ASSERT_EQ(relaxed.size(), seed.size());
         for (std::size_t i = 0; i < seed.size(); ++i) {
             EXPECT_EQ(seed[i].status, relaxed[i].status) << "net " << i;

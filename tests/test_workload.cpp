@@ -27,6 +27,7 @@
 #include "workload/net_source.h"
 #include "workload/netlist.h"
 #include "workload/stream.h"
+#include "generated_batch.h"
 
 namespace cong93 {
 namespace {
@@ -336,7 +337,7 @@ TEST(RouteStreamTest, ChunkedMatchesOneShotRouteBatchByteForByte)
     const Technology tech = mcm_technology();
     PipelineStats stats;
     const std::vector<NetRouteResult> want_results =
-        route_batch(5, 30, 600, 4, tech, {}, &stats);
+        route_generated(5, 30, 600, 4, tech, {}, &stats);
     const std::string want = format_results(want_results);
     for (const std::size_t chunk : {0u, 1u, 7u, 30u, 64u}) {
         GeneratedNetSource src(5, 30, 600, 4);
@@ -469,7 +470,6 @@ TEST(RouteStreamTest, PeakMemoryTracksChunkSizeNotDesignSize)
     PipelineOptions popts;
     popts.threads = 1;
     popts.wiresize = false;
-    popts.moment_check = false;
     StreamStats small_st, large_st;
     GeneratedNetSource small(1, 2000, 1000, 3);
     stream_bytes(small, tech, popts, 128, &small_st);
@@ -536,6 +536,63 @@ TEST(WorkloadSessionTest, ServiceNetSourceAdmissionChunksThroughBackpressure)
                   format_results({ref.result(rid)}))
             << i;
     }
+}
+
+TEST(WorkloadSessionTest, SourceAdmissionReportsReaderErrorsLikeRouteStream)
+{
+    // Malformed blocks (pin-count mismatch, duplicate name, bad token) and a
+    // design that ends before its declared net count: every source admission
+    // path must report the reader's parse error, exactly as route_stream
+    // does, not the validate error of the cleared geometry.
+    const std::string text =
+        "# cong93 netlist v1\n"
+        "design bad 7\n"
+        "net ok1 2\nsource 0 0\nsink 100 50\nend\n"
+        "net a 3\nsource 0 0\nsink 5 5\nend\n"
+        "net ok2 3\nsource 10 10\nsink 200 10\nsink 10 300\nend\n"
+        "net ok2 2\nsource 0 0\nsink 7 7\nend\n"
+        "net b 2\nsource 0 zero\nsink 1 1\nend\n"
+        "net ok3 2\nsource 40 40\nsink 90 140\nend\n";
+    const Technology tech = mcm_technology();
+    const auto bytes_of = [](const auto& result_of,
+                             const std::vector<NetId>& ids) {
+        std::vector<NetRouteResult> results;
+        for (const NetId id : ids) results.push_back(result_of(id));
+        return format_results(results);
+    };
+
+    std::istringstream in_stream(text);
+    NetlistReader stream_reader(in_stream);
+    const std::string want = stream_bytes(stream_reader, tech, {}, 2);
+    EXPECT_NE(want.find("pin count mismatch"), std::string::npos);
+    EXPECT_NE(want.find("duplicate net name"), std::string::npos);
+    EXPECT_NE(want.find("bad source line"), std::string::npos);
+    EXPECT_NE(want.find("truncated design"), std::string::npos);
+
+    Session session(tech);
+    std::istringstream in_session(text);
+    NetlistReader session_reader(in_session);
+    PipelineStats session_stats;
+    const std::vector<NetId> session_ids =
+        session.add_batch(session_reader, 2, &session_stats);
+    ASSERT_EQ(session_ids.size(), 7u);
+    EXPECT_EQ(bytes_of([&](NetId id) { return session.result(id); }, session_ids),
+              want);
+    EXPECT_EQ(session_stats.nets_invalid, 4u);
+    EXPECT_EQ(session_stats.nets_ok, 3u);
+
+    SessionService svc(tech);
+    const SessionId sid = svc.open();
+    std::istringstream in_service(text);
+    NetlistReader service_reader(in_service);
+    PipelineStats service_stats;
+    const std::vector<NetId> service_ids =
+        svc.add_batch(sid, service_reader, 2, &service_stats);
+    ASSERT_EQ(service_ids.size(), 7u);
+    EXPECT_EQ(bytes_of([&](NetId id) { return svc.result(sid, id); }, service_ids),
+              want);
+    EXPECT_EQ(service_stats.nets_invalid, 4u);
+    EXPECT_EQ(svc.stats().batches, 4u);  // ceil(7 / 2) tickets
 }
 
 // ---------------------------------------------------------------------------
